@@ -410,12 +410,24 @@ pub mod sop {
     //! over affine indices).
     //!
     //! Both keep values as a sorted vector of monomials, each a float
-    //! coefficient times a sorted atom→power multiset; the subtle merge
-    //! loops (and the cancellation threshold) live here once so the two
-    //! representations cannot silently diverge.
+    //! coefficient times an interned atom→power multiset ([`Factors`]); the
+    //! subtle merge loops (and the cancellation threshold) live here once so
+    //! the two representations cannot silently diverge.
+    //!
+    //! Factor sets are hash-consed in a per-atom-type [`ConsSet`], so a
+    //! monomial is a `Copy` pair of a coefficient and an 8-byte handle, and
+    //! re-coefficienting one (sums, negation, scaling) copies the handle
+    //! instead of rebuilding the multiset. Equality and hashing of handles
+    //! depend on content only (pointer equality is just the fast path): a
+    //! node that survives a partial epoch sweep may reference a factor set
+    //! the sweep evicted, and a later equal factor set — a fresh pointer —
+    //! must still make an equal node.
 
+    use crate::ConsSet;
     use std::cmp::Ordering;
-    use std::collections::BTreeMap;
+    use std::collections::hash_map::DefaultHasher;
+    use std::fmt;
+    use std::hash::{Hash, Hasher};
 
     /// Coefficients with magnitude at or below this are treated as zero and
     /// dropped during normalization and sum merging.
@@ -424,7 +436,7 @@ pub mod sop {
     /// A monomial of a sum-of-products normal form, as seen by the shared
     /// merge algorithms: a coefficient plus an ordering on the factor
     /// multiset (the grouping key).
-    pub trait Mono: Clone {
+    pub trait Mono: Copy {
         /// The multiplicative coefficient.
         fn coeff(&self) -> f64;
         /// The same monomial with a different coefficient.
@@ -433,13 +445,155 @@ pub mod sop {
         fn key_cmp(&self, other: &Self) -> Ordering;
     }
 
-    /// Product of two sorted atom→power maps: one merge pass, cloning each
-    /// atom exactly once (no whole-map clone, no per-atom entry lookups).
-    pub fn merge_pow_maps<A: Ord + Clone>(
-        left: &BTreeMap<A, u32>,
-        right: &BTreeMap<A, u32>,
-    ) -> BTreeMap<A, u32> {
-        let mut merged = BTreeMap::new();
+    /// An atom type whose factor sets are interned: each normal form
+    /// declares one `static ConsSet<FactorSet<Atom>>` and names it here.
+    pub trait FactorAtom: Ord + Hash + Clone + Sync + 'static {
+        /// The arena holding every factor set over this atom type.
+        fn factor_arena() -> &'static ConsSet<FactorSet<Self>>;
+    }
+
+    /// The interned payload behind a [`Factors`] handle: atom→power pairs
+    /// sorted by atom (distinct atoms, non-zero powers) plus a content hash
+    /// computed once, at construction.
+    pub struct FactorSet<A> {
+        hash: u64,
+        pairs: Box<[(A, u32)]>,
+    }
+
+    impl<A: Hash> FactorSet<A> {
+        fn new(pairs: Vec<(A, u32)>) -> FactorSet<A> {
+            // `DefaultHasher::new()` has fixed keys, so the hash is a pure
+            // function of the content.
+            let mut hasher = DefaultHasher::new();
+            pairs.hash(&mut hasher);
+            FactorSet {
+                hash: hasher.finish(),
+                pairs: pairs.into_boxed_slice(),
+            }
+        }
+    }
+
+    impl<A: PartialEq> PartialEq for FactorSet<A> {
+        fn eq(&self, other: &Self) -> bool {
+            self.hash == other.hash && self.pairs == other.pairs
+        }
+    }
+
+    impl<A: Eq> Eq for FactorSet<A> {}
+
+    impl<A> Hash for FactorSet<A> {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u64(self.hash);
+        }
+    }
+
+    /// A `Copy` handle to an interned factor multiset. Equality is a pointer
+    /// check with a content fallback, hashing uses the stored content hash,
+    /// and ordering is the lexicographic content order over `(atom, power)`
+    /// pairs — the iteration order of a `BTreeMap<A, u32>` with the same
+    /// entries.
+    pub struct Factors<A: 'static>(&'static FactorSet<A>);
+
+    impl<A> Clone for Factors<A> {
+        fn clone(&self) -> Self {
+            *self
+        }
+    }
+
+    impl<A> Copy for Factors<A> {}
+
+    impl<A: FactorAtom> Factors<A> {
+        /// The empty multiset (the factor set of a constant monomial).
+        pub fn empty() -> Factors<A> {
+            Factors::from_sorted(Vec::new())
+        }
+
+        /// The multiset `{atom: 1}`.
+        pub fn one(atom: A) -> Factors<A> {
+            Factors::from_sorted(vec![(atom, 1)])
+        }
+
+        fn from_sorted(pairs: Vec<(A, u32)>) -> Factors<A> {
+            Factors(A::factor_arena().intern(FactorSet::new(pairs)))
+        }
+    }
+
+    impl<A> Factors<A> {
+        /// The `(atom, power)` pairs in atom order.
+        pub fn as_slice(self) -> &'static [(A, u32)] {
+            &self.0.pairs
+        }
+
+        /// Iterates the `(atom, power)` pairs in atom order.
+        pub fn iter(self) -> std::slice::Iter<'static, (A, u32)> {
+            self.as_slice().iter()
+        }
+
+        /// Iterates the distinct atoms in order.
+        pub fn atoms(self) -> impl Iterator<Item = &'static A> {
+            self.iter().map(|(atom, _)| atom)
+        }
+
+        /// Number of distinct atoms.
+        pub fn len(self) -> usize {
+            self.0.pairs.len()
+        }
+
+        /// True for the factor set of a constant monomial.
+        pub fn is_empty(self) -> bool {
+            self.0.pairs.is_empty()
+        }
+    }
+
+    impl<A: PartialEq> PartialEq for Factors<A> {
+        fn eq(&self, other: &Self) -> bool {
+            std::ptr::eq(self.0, other.0) || self.0 == other.0
+        }
+    }
+
+    impl<A: Eq> Eq for Factors<A> {}
+
+    impl<A> Hash for Factors<A> {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u64(self.0.hash);
+        }
+    }
+
+    impl<A: Ord> PartialOrd for Factors<A> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<A: Ord> Ord for Factors<A> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            if std::ptr::eq(self.0, other.0) {
+                Ordering::Equal
+            } else {
+                self.0.pairs.cmp(&other.0.pairs)
+            }
+        }
+    }
+
+    impl<A: fmt::Debug> fmt::Debug for Factors<A> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.debug_map()
+                .entries(self.0.pairs.iter().map(|(atom, power)| (atom, power)))
+                .finish()
+        }
+    }
+
+    /// Product of two factor multisets: one merge pass over the sorted
+    /// pairs, cloning each atom once, then one intern. A constant side
+    /// returns the other handle unchanged.
+    pub fn merge_factors<A: FactorAtom>(left: Factors<A>, right: Factors<A>) -> Factors<A> {
+        if left.is_empty() {
+            return right;
+        }
+        if right.is_empty() {
+            return left;
+        }
+        let mut merged = Vec::with_capacity(left.len() + right.len());
         let mut left = left.iter().peekable();
         let mut right = right.iter().peekable();
         loop {
@@ -450,7 +604,7 @@ pub mod sop {
                     Ordering::Equal => {
                         let (atom, p) = left.next().expect("peeked");
                         let (_, q) = right.next().expect("peeked");
-                        merged.insert(atom.clone(), p + q);
+                        merged.push((atom.clone(), p + q));
                         continue;
                     }
                 },
@@ -463,9 +617,9 @@ pub mod sop {
             } else {
                 right.next().expect("peeked")
             };
-            merged.insert(atom.clone(), *p);
+            merged.push((atom.clone(), *p));
         }
-        merged
+        Factors::from_sorted(merged)
     }
 
     /// Sum of two normal forms (both already sorted by key with one monomial
@@ -499,7 +653,7 @@ pub mod sop {
             } else {
                 right.next().expect("peeked")
             };
-            terms.push(mono.clone());
+            terms.push(*mono);
         }
         terms
     }
@@ -706,6 +860,41 @@ mod tests {
         let sym = Symbol::table_stats();
         assert!(sym.entries >= 1);
         assert!(sym.approx_bytes > 0);
+    }
+
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct TestAtom(u8);
+
+    static TEST_FACTORS: ConsSet<sop::FactorSet<TestAtom>> = ConsSet::new();
+
+    impl sop::FactorAtom for TestAtom {
+        fn factor_arena() -> &'static ConsSet<sop::FactorSet<TestAtom>> {
+            &TEST_FACTORS
+        }
+    }
+
+    #[test]
+    fn factor_sets_merge_by_adding_powers_and_intern_once() {
+        use sop::{merge_factors, Factors};
+        let x = Factors::one(TestAtom(1));
+        let y = Factors::one(TestAtom(2));
+        let xy = merge_factors(y, x);
+        assert_eq!(xy.as_slice(), &[(TestAtom(1), 1), (TestAtom(2), 1)]);
+        let product = merge_factors(merge_factors(x, x), xy);
+        assert_eq!(product.as_slice(), &[(TestAtom(1), 3), (TestAtom(2), 1)]);
+        // The same product built another way is the same interned set.
+        let again = merge_factors(x, merge_factors(xy, x));
+        assert!(std::ptr::eq(product.as_slice(), again.as_slice()));
+        // A constant side returns the other handle untouched.
+        assert!(std::ptr::eq(
+            merge_factors(Factors::empty(), x).as_slice(),
+            x.as_slice()
+        ));
+        // Content order: {1:1} < {1:1, 2:1} < {1:3, 2:1} < {2:1}.
+        let ordered = [x, xy, product, y];
+        for pair in ordered.windows(2) {
+            assert!(pair[0] < pair[1], "{:?} < {:?}", pair[0], pair[1]);
+        }
     }
 
     #[test]

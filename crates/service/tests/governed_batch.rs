@@ -1,7 +1,21 @@
 //! Tier-1 tests of the governed batch driver: budgets cut work short
 //! without losing rows, and the degradation ladder shows up in the report.
 
+use std::sync::{Mutex, MutexGuard};
 use stng_service::batch::{self, outcome_tag, BatchOptions};
+
+/// `run_batch` sweeps the global expression arenas after its pass, which is
+/// only legal while nothing else in the process is lifting. The test harness
+/// runs this file's tests on parallel threads, so each test holds this lock
+/// for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling test poisons the lock; the arenas are still fine.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn corpus_subset(names: &[&str]) -> Vec<stng_service::BatchSource> {
     let sources: Vec<_> = batch::corpus_sources()
@@ -14,6 +28,7 @@ fn corpus_subset(names: &[&str]) -> Vec<stng_service::BatchSource> {
 
 #[test]
 fn dead_batch_deadline_yields_timeout_rows_not_a_hang() {
+    let _serial = serial();
     let sources = corpus_subset(&["simple0", "heat0", "grad0"]);
     let options = BatchOptions {
         deadline_ms: Some(0), // expired before the first kernel starts
@@ -41,6 +56,7 @@ fn dead_batch_deadline_yields_timeout_rows_not_a_hang() {
 
 #[test]
 fn ungoverned_batch_reports_no_degradation() {
+    let _serial = serial();
     let sources = corpus_subset(&["simple0", "heat0"]);
     let report = batch::run_batch(&sources, &BatchOptions::default()).expect("memory-only");
     let (translated, degraded, untranslated, timeout, crashed) = report.passes[0].summary();
@@ -53,6 +69,7 @@ fn ungoverned_batch_reports_no_degradation() {
 
 #[test]
 fn starved_prover_budget_degrades_and_retries_escalate_past_it() {
+    let _serial = serial();
     let sources = corpus_subset(&["heat0"]);
     // One prover attempt is never enough for a sound proof: the kernel
     // degrades to bounded-only validation.
@@ -87,6 +104,7 @@ fn starved_prover_budget_degrades_and_retries_escalate_past_it() {
 
 #[test]
 fn batch_json_carries_outcome_and_summary_fields() {
+    let _serial = serial();
     let sources = corpus_subset(&["simple0"]);
     let report = batch::run_batch(&sources, &BatchOptions::default()).expect("memory-only");
     let text = report.to_json().to_string();

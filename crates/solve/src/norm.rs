@@ -12,16 +12,17 @@
 //! Like `SymExpr`, normal forms are **hash-consed**: [`NormExpr`] is a
 //! `Copy`able reference to a canonical interned node, equality and hashing
 //! are O(1) pointer operations, and the ring operations plus atom
-//! substitution are memoized on node identity. The prover's case-split
-//! search re-executes VC bodies and re-rewrites goals under many linear
-//! contexts; with consing, every re-normalization of an already-seen operand
-//! pair is a table hit instead of a tree rebuild.
+//! substitution are memoized on node identity. Factor multisets are the
+//! shared interned `stng_intern::sop::Factors`, so an [`NMono`] is `Copy`.
+//! The prover's case-split search re-executes VC bodies and re-rewrites
+//! goals under many linear contexts; with consing, every re-normalization of
+//! an already-seen operand pair is a table hit instead of a tree rebuild.
 
 use crate::lin::LinCtx;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
-use stng_intern::sop::{self, Mono};
+use stng_intern::sop::{self, FactorAtom, FactorSet, Factors, Mono};
 use stng_intern::{f64_key, ConsSet, Memo, Symbol};
 use stng_ir::ir::{Affine, BinOp, IrExpr};
 
@@ -124,12 +125,12 @@ impl Ord for NAtom {
 }
 
 /// One monomial: coefficient × product of atoms.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct NMono {
     /// Coefficient.
     pub coeff: f64,
-    /// Factors and their powers, sorted.
-    pub factors: BTreeMap<NAtom, u32>,
+    /// Factors and their powers, sorted (interned).
+    pub factors: Factors<NAtom>,
 }
 
 impl PartialEq for NMono {
@@ -164,23 +165,21 @@ impl NMono {
     fn constant(c: f64) -> NMono {
         NMono {
             coeff: c,
-            factors: BTreeMap::new(),
+            factors: Factors::empty(),
         }
     }
 
     fn atom(a: NAtom) -> NMono {
-        let mut factors = BTreeMap::new();
-        factors.insert(a, 1);
         NMono {
             coeff: 1.0,
-            factors,
+            factors: Factors::one(a),
         }
     }
 
     fn mul(&self, other: &NMono) -> NMono {
         NMono {
             coeff: self.coeff * other.coeff,
-            factors: sop::merge_pow_maps(&self.factors, &other.factors),
+            factors: sop::merge_factors(self.factors, other.factors),
         }
     }
 }
@@ -193,12 +192,12 @@ impl Mono for NMono {
     fn with_coeff(&self, coeff: f64) -> NMono {
         NMono {
             coeff,
-            factors: self.factors.clone(),
+            factors: self.factors,
         }
     }
 
     fn key_cmp(&self, other: &NMono) -> Ordering {
-        self.factors.iter().cmp(other.factors.iter())
+        self.factors.cmp(&other.factors)
     }
 }
 
@@ -210,16 +209,25 @@ struct NNode {
 }
 
 static NEXPRS: ConsSet<NNode> = ConsSet::new();
+static NFACTORS: ConsSet<FactorSet<NAtom>> = ConsSet::new();
 static MEMO_ADD: Memo<(usize, usize), NormExpr> = Memo::new();
 static MEMO_MUL: Memo<(usize, usize), NormExpr> = Memo::new();
 static MEMO_DIV: Memo<(usize, usize), NormExpr> = Memo::new();
 static MEMO_NEG: Memo<usize, NormExpr> = Memo::new();
 static MEMO_SUBST: Memo<(usize, NAtom, usize), NormExpr> = Memo::new();
 
-/// Occupancy snapshots of the normal-form arena and its memos.
+impl FactorAtom for NAtom {
+    fn factor_arena() -> &'static ConsSet<FactorSet<NAtom>> {
+        &NFACTORS
+    }
+}
+
+/// Occupancy snapshots of the normal-form and factor-set arenas and their
+/// memos.
 pub fn arena_stats() -> Vec<stng_intern::ArenaStats> {
     vec![
         NEXPRS.stats("solve.nexprs"),
+        NFACTORS.stats("solve.nfactors"),
         MEMO_ADD.stats("solve.memo_add"),
         MEMO_MUL.stats("solve.memo_mul"),
         MEMO_DIV.stats("solve.memo_div"),
@@ -230,7 +238,8 @@ pub fn arena_stats() -> Vec<stng_intern::ArenaStats> {
 
 /// Sweeps the normal-form arena and memo tables, evicting entries last used
 /// before `cutoff`. Returns the total number of entries evicted. Same
-/// quiescence contract as `stng_sym::retain_epoch`.
+/// quiescence contract and sweep order (memos, nodes, factor sets) as
+/// `stng_sym::retain_epoch`.
 pub fn retain_epoch(cutoff: u64) -> usize {
     MEMO_ADD.retain_epoch(cutoff)
         + MEMO_MUL.retain_epoch(cutoff)
@@ -238,6 +247,7 @@ pub fn retain_epoch(cutoff: u64) -> usize {
         + MEMO_NEG.retain_epoch(cutoff)
         + MEMO_SUBST.retain_epoch(cutoff)
         + NEXPRS.retain_epoch(cutoff)
+        + NFACTORS.retain_epoch(cutoff)
 }
 
 /// A normalized data expression: sum of monomials, hash-consed.
@@ -387,10 +397,7 @@ impl NormExpr {
         let terms = self
             .terms()
             .iter()
-            .map(|t| NMono {
-                coeff: -t.coeff,
-                factors: t.factors.clone(),
-            })
+            .map(|t| t.with_coeff(-t.coeff))
             .collect();
         let result = NormExpr::cons(terms);
         MEMO_NEG.insert(self.key(), result);
@@ -408,10 +415,7 @@ impl NormExpr {
                 NormExpr::normalized(
                     self.terms()
                         .iter()
-                        .map(|t| NMono {
-                            coeff: t.coeff / c,
-                            factors: t.factors.clone(),
-                        })
+                        .map(|t| t.with_coeff(t.coeff / c))
                         .collect(),
                 )
             } else {
@@ -500,7 +504,7 @@ impl NormExpr {
 
     fn collect_loads(self, out: &mut Vec<(Symbol, &'static [Affine])>) {
         for term in self.terms() {
-            for atom in term.factors.keys() {
+            for atom in term.factors.atoms() {
                 match atom {
                     NAtom::Load { array, indices } => {
                         let entry = (*array, indices.as_slice());
@@ -534,7 +538,7 @@ impl NormExpr {
         let mut result = NormExpr::zero();
         for term in self.terms() {
             let mut factor_expr = NormExpr::constant(term.coeff);
-            for (atom, power) in &term.factors {
+            for (atom, power) in term.factors.iter() {
                 let replacement = if atom == target {
                     *value
                 } else {
@@ -576,7 +580,7 @@ impl fmt::Display for NormExpr {
                 write!(f, " + ")?;
             }
             write!(f, "{}", term.coeff)?;
-            for (atom, power) in &term.factors {
+            for (atom, power) in term.factors.iter() {
                 write!(f, "*")?;
                 match atom {
                     NAtom::Load { array, indices } => {
@@ -615,12 +619,10 @@ fn monomial_factors_eq_mod_ctx(a: &NMono, b: &NMono, ctx: &LinCtx) -> bool {
     if a.factors.len() != b.factors.len() {
         return false;
     }
-    let fa: Vec<(&NAtom, &u32)> = a.factors.iter().collect();
-    let fb: Vec<(&NAtom, &u32)> = b.factors.iter().collect();
-    let mut used = vec![false; fb.len()];
-    'outer: for (atom_a, pow_a) in fa {
-        for (k, (atom_b, pow_b)) in fb.iter().enumerate() {
-            if used[k] || pow_a != *pow_b {
+    let mut used = vec![false; b.factors.len()];
+    'outer: for (atom_a, pow_a) in a.factors.iter() {
+        for (k, (atom_b, pow_b)) in b.factors.iter().enumerate() {
+            if used[k] || pow_a != pow_b {
                 continue;
             }
             if atom_eq_mod_ctx(atom_a, atom_b, ctx) {

@@ -125,7 +125,7 @@ impl TemplateExpr {
             if (mono.coeff - 1.0).abs() > 1e-12 || mono.factors.is_empty() {
                 factors.push(TemplateExpr::Const(mono.coeff));
             }
-            for (atom, power) in &mono.factors {
+            for (atom, power) in mono.factors.iter() {
                 for _ in 0..*power {
                     factors.push(Self::from_atom(atom));
                 }

@@ -28,8 +28,6 @@ pub struct LoopHeadSnapshot {
 pub struct SymbolicRun {
     /// The concrete integer bindings used for the run.
     pub bounds: HashMap<String, i64>,
-    /// Final contents of every array.
-    pub finals: HashMap<String, ArrayData<SymExpr>>,
     /// For every output array: the cells actually written and their final
     /// symbolic values, in index order.
     pub writes: BTreeMap<String, Vec<(Vec<i64>, SymExpr)>>,
@@ -165,7 +163,6 @@ pub fn symbolic_execute(kernel: &Kernel, bounds: &HashMap<String, i64>) -> Resul
 
     Ok(SymbolicRun {
         bounds: bounds.clone(),
-        finals: state.arrays.clone(),
         writes,
         loop_heads: exec.loop_heads,
     })

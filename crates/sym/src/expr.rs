@@ -15,15 +15,16 @@
 //! to the canonical node. Structural equality and hashing are therefore O(1)
 //! pointer operations, and the ring operations are memoized on node identity,
 //! so a subexpression shared by thousands of output cells (the common case in
-//! symbolic execution of stencils) is normalized once. Names are interned
-//! [`Symbol`]s, whose ordering matches string ordering, so the sorted factor
-//! multisets iterate exactly as the `String`-keyed originals did.
+//! symbolic execution of stencils) is normalized once. Factor multisets are
+//! interned too (`stng_intern::sop::Factors`), so a [`Monomial`] is a `Copy`
+//! coefficient plus handle. Names are interned [`Symbol`]s, whose ordering
+//! matches string ordering, so the sorted factor multisets iterate exactly as
+//! the `String`-keyed originals did.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::fmt;
 
-use stng_intern::sop::{self, Mono};
+use stng_intern::sop::{self, FactorAtom, FactorSet, Factors, Mono};
 use stng_intern::{f64_key, ConsSet, Memo, Symbol};
 use stng_ir::value::DataValue;
 
@@ -126,12 +127,12 @@ impl fmt::Display for Atom {
 }
 
 /// One monomial: a coefficient times a multiset of atoms (atom → power).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Monomial {
     /// Multiplicative coefficient.
     pub coeff: f64,
-    /// Atom powers, sorted by atom.
-    pub factors: BTreeMap<Atom, u32>,
+    /// Atom powers, sorted by atom (interned).
+    pub factors: Factors<Atom>,
 }
 
 impl Monomial {
@@ -139,25 +140,23 @@ impl Monomial {
     pub fn constant(coeff: f64) -> Monomial {
         Monomial {
             coeff,
-            factors: BTreeMap::new(),
+            factors: Factors::empty(),
         }
     }
 
     /// The monomial `1 · atom`.
     pub fn atom(atom: Atom) -> Monomial {
-        let mut factors = BTreeMap::new();
-        factors.insert(atom, 1);
         Monomial {
             coeff: 1.0,
-            factors,
+            factors: Factors::one(atom),
         }
     }
 
-    /// Product of two monomials: one merge pass over the sorted factor maps.
+    /// Product of two monomials: one merge pass over the sorted factor sets.
     pub fn mul(&self, other: &Monomial) -> Monomial {
         Monomial {
             coeff: self.coeff * other.coeff,
-            factors: sop::merge_pow_maps(&self.factors, &other.factors),
+            factors: sop::merge_factors(self.factors, other.factors),
         }
     }
 }
@@ -170,12 +169,12 @@ impl Mono for Monomial {
     fn with_coeff(&self, coeff: f64) -> Monomial {
         Monomial {
             coeff,
-            factors: self.factors.clone(),
+            factors: self.factors,
         }
     }
 
     fn key_cmp(&self, other: &Monomial) -> Ordering {
-        self.factors.iter().cmp(other.factors.iter())
+        self.factors.cmp(&other.factors)
     }
 }
 
@@ -218,16 +217,24 @@ struct Node {
 /// The global hash-consing arena and the operation memo tables. Keys are the
 /// canonical node addresses, so a memo hit is two pointer reads.
 static EXPRS: ConsSet<Node> = ConsSet::new();
+static FACTORS: ConsSet<FactorSet<Atom>> = ConsSet::new();
 static MEMO_ADD: Memo<(usize, usize), SymExpr> = Memo::new();
 static MEMO_MUL: Memo<(usize, usize), SymExpr> = Memo::new();
 static MEMO_DIV: Memo<(usize, usize), SymExpr> = Memo::new();
 static MEMO_NEG: Memo<usize, SymExpr> = Memo::new();
 
-/// Occupancy snapshots of the expression arena and its operation memos, in
-/// a fixed order (arena first).
+impl FactorAtom for Atom {
+    fn factor_arena() -> &'static ConsSet<FactorSet<Atom>> {
+        &FACTORS
+    }
+}
+
+/// Occupancy snapshots of the expression and factor-set arenas and the
+/// operation memos, in a fixed order (arenas first).
 pub fn arena_stats() -> Vec<stng_intern::ArenaStats> {
     vec![
         EXPRS.stats("sym.exprs"),
+        FACTORS.stats("sym.factors"),
         MEMO_ADD.stats("sym.memo_add"),
         MEMO_MUL.stats("sym.memo_mul"),
         MEMO_DIV.stats("sym.memo_div"),
@@ -242,12 +249,16 @@ pub fn arena_stats() -> Vec<stng_intern::ArenaStats> {
 pub fn retain_epoch(cutoff: u64) -> usize {
     // Memos before the arena: their values point at arena nodes, and the
     // insertion-tag ordering (entry tag ≤ value-node tag) makes this order
-    // safe even mid-epoch.
+    // safe even mid-epoch. Factor sets last: a surviving node may hold a
+    // factor set with an older tag (sums and scalings copy handles without
+    // re-interning), which is harmless because factor-set equality and
+    // hashing are by content.
     MEMO_ADD.retain_epoch(cutoff)
         + MEMO_MUL.retain_epoch(cutoff)
         + MEMO_DIV.retain_epoch(cutoff)
         + MEMO_NEG.retain_epoch(cutoff)
         + EXPRS.retain_epoch(cutoff)
+        + FACTORS.retain_epoch(cutoff)
 }
 
 /// A symbolic expression in sum-of-products normal form, hash-consed.
@@ -323,7 +334,7 @@ impl SymExpr {
     pub fn as_single_atom(self) -> Option<&'static Atom> {
         let terms = self.terms();
         if terms.len() == 1 && (terms[0].coeff - 1.0).abs() < 1e-12 && terms[0].factors.len() == 1 {
-            let (atom, power) = terms[0].factors.iter().next().expect("one factor");
+            let (atom, power) = &terms[0].factors.as_slice()[0];
             if *power == 1 {
                 return Some(atom);
             }
@@ -340,7 +351,7 @@ impl SymExpr {
 
     fn collect_reads(self, out: &mut Vec<(Symbol, Vec<i64>)>) {
         for term in self.terms() {
-            for atom in term.factors.keys() {
+            for atom in term.factors.atoms() {
                 match atom {
                     Atom::Read { array, indices } => {
                         let entry = (*array, indices.clone());
@@ -427,7 +438,7 @@ impl fmt::Display for SymExpr {
                 write!(f, "{}", term.coeff)?;
                 wrote = true;
             }
-            for (atom, power) in &term.factors {
+            for (atom, power) in term.factors.iter() {
                 if wrote {
                     write!(f, "*")?;
                 }
@@ -499,10 +510,7 @@ impl DataValue for SymExpr {
                 SymExpr::normalized(
                     self.terms()
                         .iter()
-                        .map(|t| Monomial {
-                            coeff: t.coeff / c,
-                            factors: t.factors.clone(),
-                        })
+                        .map(|t| t.with_coeff(t.coeff / c))
                         .collect(),
                 )
             } else {
@@ -529,10 +537,7 @@ impl DataValue for SymExpr {
         let terms = self
             .terms()
             .iter()
-            .map(|t| Monomial {
-                coeff: -t.coeff,
-                factors: t.factors.clone(),
-            })
+            .map(|t| t.with_coeff(-t.coeff))
             .collect();
         let result = SymExpr::cons(terms);
         MEMO_NEG.insert(self.key(), result);

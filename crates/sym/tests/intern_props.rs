@@ -8,6 +8,7 @@
 //! Hand-rolled with a seeded SplitMix64 generator (no crates.io access for
 //! proptest); failures are reproducible from the printed seed and case index.
 
+use std::collections::BTreeMap;
 use stng_intern::Symbol;
 use stng_ir::value::DataValue;
 use stng_sym::expr::{Atom, SymExpr};
@@ -76,7 +77,7 @@ fn structural_eq(a: SymExpr, b: SymExpr) -> bool {
                 && x.factors.len() == y.factors.len()
                 && x.factors
                     .iter()
-                    .zip(&y.factors)
+                    .zip(y.factors.iter())
                     .all(|((p, m), (q, n))| m == n && atom_structural_eq(p, q))
         })
 }
@@ -189,7 +190,7 @@ fn atom_ordering_is_preserved_across_interning() {
     for _ in 0..80 {
         let e = generator.expr(2);
         for term in e.terms() {
-            for atom in term.factors.keys() {
+            for atom in term.factors.atoms() {
                 atoms.push(atom.clone());
             }
         }
@@ -208,6 +209,49 @@ fn atom_ordering_is_preserved_across_interning() {
     for x in names {
         for y in names {
             assert_eq!(Symbol::intern(x).cmp(&Symbol::intern(y)), x.cmp(y));
+        }
+    }
+}
+
+#[test]
+fn factor_sets_iterate_and_order_like_btree_maps() {
+    // Single-atom expressions (reads, variables, applications, quotients).
+    let mut generator = Gen::new(0xfac7_0125);
+    let mut pool: Vec<SymExpr> = Vec::new();
+    while pool.len() < 24 {
+        let e = generator.expr(0);
+        let candidate = if pool.len() % 4 == 3 {
+            e.div(&SymExpr::var("q"))
+        } else {
+            e
+        };
+        if candidate.as_single_atom().is_some() {
+            pool.push(candidate);
+        }
+    }
+    let mut sets = Vec::new();
+    for case in 0..60 {
+        // A product of random atoms, repeats included: its one monomial's
+        // factor set must iterate like a BTreeMap of the atom counts.
+        let mut product = SymExpr::constant(1.0);
+        let mut map: BTreeMap<Atom, u32> = BTreeMap::new();
+        for _ in 0..generator.in_range(0, 6) {
+            let factor = *generator.pick(&pool);
+            product = product.mul(&factor);
+            *map.entry(factor.as_single_atom().unwrap().clone())
+                .or_insert(0) += 1;
+        }
+        let factors = product.terms()[0].factors;
+        assert!(
+            factors.iter().map(|(a, p)| (a, p)).eq(map.iter()),
+            "case {case}: factor set order diverges from BTreeMap order"
+        );
+        sets.push((factors, map));
+    }
+    for (fa, ma) in &sets {
+        for (fb, mb) in &sets {
+            assert_eq!(fa.cmp(fb), ma.iter().cmp(mb.iter()), "{fa:?} vs {fb:?}");
+            assert_eq!(fa == fb, ma == mb);
         }
     }
 }

@@ -21,7 +21,7 @@ use stng_pred::lang::{Invariant, Postcondition};
 use stng_pred::vcgen::{analyze_loop_nest, generate_vcs};
 use stng_solve::bounded::CheckSession;
 use stng_solve::{BoundedChecker, ProverSession, SmtLite};
-use stng_sym::{choose_small_bounds, symbolic_execute};
+use stng_sym::choose_small_bounds;
 
 /// Why synthesis failed for a kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -330,150 +330,145 @@ pub fn synthesize_governed_with_phases(
     let mut phase = PhaseTimings::default();
     let nest = analyze_loop_nest(kernel);
     if let Ok(nest) = nest {
-        let run = symbolic_execute(
-            kernel,
-            &choose_small_bounds(kernel, config.postcond.sizes.0),
-        );
-        if let Ok(run) = run {
-            if let Ok(inv_candidates) = invariant_candidates(kernel, &nest, &post, &run) {
-                control_bits.merge(&inv_candidates.control_bits);
-                peak_candidates = inv_candidates.candidates.len();
-                // Screen candidates concurrently: each check (VC generation,
-                // bounded screen, sound proof) is a pure function of shared
-                // immutable inputs. `find_first` keeps sequential semantics —
-                // the lowest-index candidate that proves sound wins. The
-                // bounded checker's own worker count is divided by the number
-                // of candidates in flight so the two levels of parallelism
-                // never multiply past the configured budget.
-                let in_flight = config.parallelism.clamp(1, peak_candidates);
-                let bounded = BoundedChecker {
-                    parallelism: (config.bounded.parallelism / in_flight).max(1),
-                    ..config.bounded.clone()
-                };
-                // One session for the whole candidate set: reachable states
-                // depend only on the kernel and the (size, trial) seeds, so
-                // they are captured once and scanned per candidate; only
-                // the candidate-dependent VCs are recompiled between
-                // iterations. Capture errors reject every candidate, as
-                // they would have per candidate before.
-                let session = CheckSession::with_budget(bounded, kernel.clone(), budget.clone());
-                // One prover session for the whole candidate set: settled
-                // case-split subtrees are shared across candidates (most VCs
-                // — loop bounds, frame conditions — are identical from one
-                // candidate to the next), and memo hits charge neither
-                // attempts nor the governed budget.
-                let prover_session = ProverSession::new();
-                let core_hits_before = stng_solve::lin::core_hit_count();
-                let prove_ns = AtomicU64::new(0);
-                // A caught worker panic is recorded here and halts the scan;
-                // the first panic message wins (candidates race, but the
-                // kernel fails with Crashed either way).
-                let panicked: Mutex<Option<String>> = Mutex::new(None);
-                let halt = AtomicBool::new(false);
-                let accepted = stng_intern::parallel::find_first(
-                    &inv_candidates.candidates,
-                    config.parallelism,
-                    |k, invariants| {
-                        // First-success semantics under cancellation: a
-                        // tripped budget (or a crashed sibling) skips the
-                        // remaining candidates instead of screening them.
-                        if halt.load(Ordering::Relaxed) || budget.exhausted().is_some() {
-                            return None;
+        // Invariants are enumerated over the postcondition's first symbolic
+        // run, which used exactly the bounds they need (`sizes.0`).
+        if let Ok(inv_candidates) = invariant_candidates(kernel, &nest, &post, &candidate.run) {
+            control_bits.merge(&inv_candidates.control_bits);
+            peak_candidates = inv_candidates.candidates.len();
+            // Screen candidates concurrently: each check (VC generation,
+            // bounded screen, sound proof) is a pure function of shared
+            // immutable inputs. `find_first` keeps sequential semantics —
+            // the lowest-index candidate that proves sound wins. The
+            // bounded checker's own worker count is divided by the number
+            // of candidates in flight so the two levels of parallelism
+            // never multiply past the configured budget.
+            let in_flight = config.parallelism.clamp(1, peak_candidates);
+            let bounded = BoundedChecker {
+                parallelism: (config.bounded.parallelism / in_flight).max(1),
+                ..config.bounded.clone()
+            };
+            // One session for the whole candidate set: reachable states
+            // depend only on the kernel and the (size, trial) seeds, so
+            // they are captured once and scanned per candidate; only
+            // the candidate-dependent VCs are recompiled between
+            // iterations. Capture errors reject every candidate, as
+            // they would have per candidate before.
+            let session = CheckSession::with_budget(bounded, kernel.clone(), budget.clone());
+            // One prover session for the whole candidate set: settled
+            // case-split subtrees are shared across candidates (most VCs
+            // — loop bounds, frame conditions — are identical from one
+            // candidate to the next), and memo hits charge neither
+            // attempts nor the governed budget.
+            let prover_session = ProverSession::new();
+            let core_hits_before = stng_solve::lin::core_hit_count();
+            let prove_ns = AtomicU64::new(0);
+            // A caught worker panic is recorded here and halts the scan;
+            // the first panic message wins (candidates race, but the
+            // kernel fails with Crashed either way).
+            let panicked: Mutex<Option<String>> = Mutex::new(None);
+            let halt = AtomicBool::new(false);
+            let accepted = stng_intern::parallel::find_first(
+                &inv_candidates.candidates,
+                config.parallelism,
+                |k, invariants| {
+                    // First-success semantics under cancellation: a
+                    // tripped budget (or a crashed sibling) skips the
+                    // remaining candidates instead of screening them.
+                    if halt.load(Ordering::Relaxed) || budget.exhausted().is_some() {
+                        return None;
+                    }
+                    let mut candidate_span = span(&names::CEGIS_CANDIDATE);
+                    candidate_span.arg(k as u64);
+                    let checked = catch_unwind(AssertUnwindSafe(|| {
+                        if fault::panic_candidate(&kernel.name) {
+                            event(
+                                &names::FAULT_INJECTED,
+                                Some(Symbol::intern("panic_candidate")),
+                                k as u64,
+                            );
+                            panic!("injected candidate panic");
                         }
-                        let mut candidate_span = span(&names::CEGIS_CANDIDATE);
-                        candidate_span.arg(k as u64);
-                        let checked = catch_unwind(AssertUnwindSafe(|| {
-                            if fault::panic_candidate(&kernel.name) {
-                                event(
-                                    &names::FAULT_INJECTED,
-                                    Some(Symbol::intern("panic_candidate")),
-                                    k as u64,
-                                );
-                                panic!("injected candidate panic");
-                            }
-                            let vcs = generate_vcs(&nest, &kernel.assumptions, invariants, &post);
-                            // Fast screen: bounded checking on reachable states.
-                            match session.find_counterexample(&vcs) {
-                                Ok(None) => {}
-                                Ok(Some(_)) | Err(_) => return None,
-                            }
-                            // Sound check.
-                            if let Some(stall) = fault::prover_stall(&kernel.name) {
-                                event(
-                                    &names::FAULT_INJECTED,
-                                    Some(Symbol::intern("prover_stall")),
-                                    k as u64,
-                                );
-                                std::thread::sleep(stall);
-                            }
-                            let proving = Instant::now();
-                            let prove_span = span(&names::PROVE_SESSION);
-                            let (verdict, attempts) =
-                                config
-                                    .prover
-                                    .verify_all_session(&vcs, budget, &prover_session);
-                            drop(prove_span);
-                            prove_ns
-                                .fetch_add(proving.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            verdict.is_valid().then_some(attempts)
-                        }));
-                        match checked {
-                            Ok(result) => result,
-                            Err(payload) => {
-                                let msg = panic_message(payload.as_ref());
-                                event(&names::WORKER_CRASHED, None, k as u64);
-                                let mut slot = panicked.lock().unwrap();
-                                slot.get_or_insert(msg);
-                                halt.store(true, Ordering::Relaxed);
-                                None
-                            }
+                        let vcs = generate_vcs(&nest, &kernel.assumptions, invariants, &post);
+                        // Fast screen: bounded checking on reachable states.
+                        match session.find_counterexample(&vcs) {
+                            Ok(None) => {}
+                            Ok(Some(_)) | Err(_) => return None,
                         }
-                    },
-                );
-                // Per-kernel aggregation goes through the metrics registry:
-                // fill a `MetricSet` from the session counters, derive the
-                // `PhaseTimings` façade from it, and flush it into the
-                // process-wide cells `--metrics-json` exports.
-                let ids = stng_obs::metrics::phase();
-                let kernel_metrics = MetricSet::new();
-                kernel_metrics.add(ids.capture_ns, session.capture_ns());
-                kernel_metrics.add(ids.bounded_ns, session.check_ns());
-                kernel_metrics.add(ids.captures, session.capture_count() as u64);
-                kernel_metrics.add(ids.screened, session.screened());
-                kernel_metrics.add(ids.survivors, session.survivors());
-                kernel_metrics.add(ids.batch_scans, session.batch_scans());
-                kernel_metrics.add(ids.prove_ns, prove_ns.into_inner());
-                kernel_metrics.add(ids.oblig_hits, prover_session.hits());
-                kernel_metrics.add(ids.oblig_misses, prover_session.misses());
-                kernel_metrics.add(
-                    ids.core_hits,
-                    stng_solve::lin::core_hit_count().saturating_sub(core_hits_before),
-                );
-                phase = PhaseTimings::from_metrics(&kernel_metrics);
-                kernel_metrics.flush();
-                if let Some((k, attempts)) = accepted {
-                    return (
-                        Ok(SynthesisOutcome {
-                            post,
-                            invariants: Some(inv_candidates.candidates[k].clone()),
-                            control_bits,
-                            postcond_nodes,
-                            cegis_iterations: k + 1,
-                            prover_attempts: attempts,
-                            peak_candidates,
-                            soundly_verified: true,
-                            degraded: None,
-                            synthesis_time: start.elapsed(),
-                            phase,
-                        }),
+                        // Sound check.
+                        if let Some(stall) = fault::prover_stall(&kernel.name) {
+                            event(
+                                &names::FAULT_INJECTED,
+                                Some(Symbol::intern("prover_stall")),
+                                k as u64,
+                            );
+                            std::thread::sleep(stall);
+                        }
+                        let proving = Instant::now();
+                        let prove_span = span(&names::PROVE_SESSION);
+                        let (verdict, attempts) =
+                            config
+                                .prover
+                                .verify_all_session(&vcs, budget, &prover_session);
+                        drop(prove_span);
+                        prove_ns.fetch_add(proving.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        verdict.is_valid().then_some(attempts)
+                    }));
+                    match checked {
+                        Ok(result) => result,
+                        Err(payload) => {
+                            let msg = panic_message(payload.as_ref());
+                            event(&names::WORKER_CRASHED, None, k as u64);
+                            let mut slot = panicked.lock().unwrap();
+                            slot.get_or_insert(msg);
+                            halt.store(true, Ordering::Relaxed);
+                            None
+                        }
+                    }
+                },
+            );
+            // Per-kernel aggregation goes through the metrics registry:
+            // fill a `MetricSet` from the session counters, derive the
+            // `PhaseTimings` façade from it, and flush it into the
+            // process-wide cells `--metrics-json` exports.
+            let ids = stng_obs::metrics::phase();
+            let kernel_metrics = MetricSet::new();
+            kernel_metrics.add(ids.capture_ns, session.capture_ns());
+            kernel_metrics.add(ids.bounded_ns, session.check_ns());
+            kernel_metrics.add(ids.captures, session.capture_count() as u64);
+            kernel_metrics.add(ids.screened, session.screened());
+            kernel_metrics.add(ids.survivors, session.survivors());
+            kernel_metrics.add(ids.batch_scans, session.batch_scans());
+            kernel_metrics.add(ids.prove_ns, prove_ns.into_inner());
+            kernel_metrics.add(ids.oblig_hits, prover_session.hits());
+            kernel_metrics.add(ids.oblig_misses, prover_session.misses());
+            kernel_metrics.add(
+                ids.core_hits,
+                stng_solve::lin::core_hit_count().saturating_sub(core_hits_before),
+            );
+            phase = PhaseTimings::from_metrics(&kernel_metrics);
+            kernel_metrics.flush();
+            if let Some((k, attempts)) = accepted {
+                return (
+                    Ok(SynthesisOutcome {
+                        post,
+                        invariants: Some(inv_candidates.candidates[k].clone()),
+                        control_bits,
+                        postcond_nodes,
+                        cegis_iterations: k + 1,
+                        prover_attempts: attempts,
+                        peak_candidates,
+                        soundly_verified: true,
+                        degraded: None,
+                        synthesis_time: start.elapsed(),
                         phase,
-                    );
-                }
-                if let Some(panic) = panicked.into_inner().unwrap() {
-                    return (Err(SynthesisFailure::Crashed { panic }), phase);
-                }
-                iterations = peak_candidates;
+                    }),
+                    phase,
+                );
             }
+            if let Some(panic) = panicked.into_inner().unwrap() {
+                return (Err(SynthesisFailure::Crashed { panic }), phase);
+            }
+            iterations = peak_candidates;
         }
     }
 

@@ -28,6 +28,9 @@ pub struct PostcondCandidate {
     /// For every output array, the output dimension driven by each quantified
     /// variable (identity by construction: `v{k}` drives dimension `k`).
     pub quant_vars: HashMap<String, Vec<String>>,
+    /// The symbolic run at the first grid size (`sizes.0`), which invariant
+    /// synthesis reuses instead of executing the kernel again.
+    pub run: SymbolicRun,
 }
 
 /// Configuration of postcondition synthesis.
@@ -94,6 +97,7 @@ impl PostcondSynthesizer {
             control_bits: bits,
             observations_checked: observations,
             quant_vars,
+            run: run_a,
         })
     }
 
