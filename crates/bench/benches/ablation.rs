@@ -4,11 +4,13 @@
 //! relative to bounded checking.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use stng::guard::Budget;
 use stng_bench::bench_stng;
 use stng_corpus::all_kernels;
 use stng_ir::lower::kernel_from_source;
 use stng_pred::fixtures;
 use stng_pred::vcgen::{analyze_loop_nest, generate_vcs};
+use stng_solve::bounded::CheckSession;
 use stng_solve::{BoundedChecker, SmtLite};
 use stng_synth::postcond::PostcondSynthesizer;
 
@@ -38,13 +40,14 @@ fn print_ablation() {
         &fixtures::running_example_invariants(),
         &fixtures::running_example_post(),
     );
-    let bounded = BoundedChecker::new();
     let t0 = std::time::Instant::now();
-    let cex = bounded.find_counterexample(&kernel, &vcs).unwrap();
+    let cex = CheckSession::new(BoundedChecker::new(), kernel)
+        .find_counterexample(&vcs)
+        .unwrap();
     let bounded_time = t0.elapsed();
     let prover = SmtLite::new();
     let t1 = std::time::Instant::now();
-    let verdict = prover.verify_all(&vcs);
+    let (verdict, _) = prover.verify_all_governed(&vcs, &Budget::unlimited());
     let prover_time = t1.elapsed();
     println!(
         "running example: bounded check clean={} in {:.3}ms, sound proof valid={} in {:.3}ms",

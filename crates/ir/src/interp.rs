@@ -6,8 +6,9 @@
 //! * the "original Fortran" performance baseline (f64 domain),
 //! * the concrete half of the combined concrete/symbolic execution used for
 //!   inductive template generation, and
-//! * the evaluation engine behind CEGIS counterexample checking (modular
-//!   domain).
+//! * the oracle of bounded checking (modular domain): the compiled state
+//!   capture is tested against a [`LoopTrace`] of this interpreter, and the
+//!   tree-walking VC evaluator runs on top of it.
 
 use crate::error::{Error, Result};
 use crate::ir::{BinOp, CmpOp, IrExpr, IrStmt, Kernel, ParamKind};
@@ -375,10 +376,7 @@ pub fn run_kernel_limited<V: DataValue>(
     state: &mut State<V>,
     max_steps: u64,
 ) -> Result<u64> {
-    let mut stores = 0u64;
-    let mut steps = 0u64;
-    exec_stmts(&kernel.body, state, &mut stores, &mut steps, max_steps)?;
-    Ok(stores)
+    run_stmts(&kernel.body, state, max_steps)
 }
 
 /// Executes a sequence of statements (typically the straight-line body of a
@@ -392,9 +390,41 @@ pub fn run_stmts<V: DataValue>(
     state: &mut State<V>,
     max_steps: u64,
 ) -> Result<u64> {
+    run_stmts_traced(stmts, state, max_steps, &mut NoTrace)
+}
+
+/// Observer of the interpreter's loop protocol, shaped like
+/// [`crate::slots::LoopTrace`]: called at the head of every loop iteration
+/// (counter just set) and immediately after each loop exits (counter one
+/// step past the bound). The compiled bounded-checking capture is tested
+/// against a trace of this interpreter; plain execution uses the no-op
+/// default.
+pub trait LoopTrace<V> {
+    /// Called at the head of every loop iteration.
+    fn at_loop_head(&mut self, _var_name: &str, _state: &State<V>) {}
+    /// Called immediately after a loop exits.
+    fn at_loop_exit(&mut self, _var_name: &str, _state: &State<V>) {}
+}
+
+/// The no-op trace used by [`run_stmts`].
+struct NoTrace;
+
+impl<V> LoopTrace<V> for NoTrace {}
+
+/// [`run_stmts`] with a loop-observation hook.
+///
+/// # Errors
+///
+/// Same failure modes as [`run_kernel_limited`].
+pub fn run_stmts_traced<V: DataValue>(
+    stmts: &[IrStmt],
+    state: &mut State<V>,
+    max_steps: u64,
+    trace: &mut impl LoopTrace<V>,
+) -> Result<u64> {
     let mut stores = 0u64;
     let mut steps = 0u64;
-    exec_stmts(stmts, state, &mut stores, &mut steps, max_steps)?;
+    exec_stmts(stmts, state, &mut stores, &mut steps, max_steps, trace)?;
     Ok(stores)
 }
 
@@ -404,6 +434,7 @@ fn exec_stmts<V: DataValue>(
     stores: &mut u64,
     steps: &mut u64,
     max_steps: u64,
+    trace: &mut impl LoopTrace<V>,
 ) -> Result<()> {
     for stmt in stmts {
         *steps += 1;
@@ -465,11 +496,13 @@ fn exec_stmts<V: DataValue>(
                         break;
                     }
                     state.ints.insert(domain.var.clone(), cur);
-                    exec_stmts(body, state, stores, steps, max_steps)?;
+                    trace.at_loop_head(&domain.var, state);
+                    exec_stmts(body, state, stores, steps, max_steps, trace)?;
                     cur += step;
                 }
                 // Fortran leaves the loop variable one step past the bound.
                 state.ints.insert(domain.var.clone(), cur);
+                trace.at_loop_exit(&domain.var, state);
             }
             IrStmt::If {
                 cond,
@@ -477,9 +510,9 @@ fn exec_stmts<V: DataValue>(
                 else_body,
             } => {
                 if eval_bool_if(cond, state)? {
-                    exec_stmts(then_body, state, stores, steps, max_steps)?;
+                    exec_stmts(then_body, state, stores, steps, max_steps, trace)?;
                 } else {
-                    exec_stmts(else_body, state, stores, steps, max_steps)?;
+                    exec_stmts(else_body, state, stores, steps, max_steps, trace)?;
                 }
             }
         }

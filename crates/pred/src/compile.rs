@@ -7,14 +7,18 @@
 //! pre-resolved slots: evaluating the VC on a captured state is then a tight
 //! loop over register-machine ops with zero allocation per quantifier point.
 //!
-//! Semantics are the tree-walking evaluator's, reproduced exactly —
-//! including the order hypotheses are screened in, evaluation (and therefore
-//! error) order inside clauses, short-circuit conjunction, and
-//! vacuous-on-hypothesis-error. The differential property test in
-//! `stng-solve` (`tests/compiled_differential.rs`) pins
+//! There is one engine, [`CompiledVcSet::check_batch`], which runs a VC
+//! across up to [`SLOT_BATCH_MAX_LANES`] captured states in one op-major
+//! pass; [`CompiledVcSet::check`] is its one-lane call. Semantics are the
+//! tree-walking evaluator's, reproduced exactly — including the order
+//! hypotheses are screened in, evaluation (and therefore error) order
+//! inside clauses, short-circuit conjunction, and vacuous-on-hypothesis-
+//! error. The tree walker is the oracle only: the differential property
+//! test in `stng-solve` (`tests/compiled_differential.rs`) pins
 //! compiled-vs-interpreted agreement down over the whole corpus, error cases
 //! included. Constructs the bytecode cannot reproduce exactly fail to
-//! compile with [`CompileErr`], and callers fall back to the interpreter.
+//! compile with [`CompileErr`], which the bounded checker reports as an
+//! error.
 //!
 //! Quantified variables never touch the state: each clause's bound variables
 //! are pinned to low integer registers of its per-point program, so
@@ -37,7 +41,7 @@ use stng_ir::slots::{
 const POLL_STRIDE: u32 = 256;
 
 /// Maximum quantifier rank the compiled enumerator supports (the corpus
-/// maximum is 4); deeper clauses fall back to the interpreter.
+/// maximum is 4); deeper clauses fail to compile.
 const MAX_QUANT: usize = 8;
 
 /// One compiled quantifier bound: inclusive lower/upper bound programs plus
@@ -125,8 +129,7 @@ impl CompiledVcSet {
     /// # Errors
     ///
     /// Returns [`CompileErr`] when any VC contains a construct whose
-    /// interpreter semantics the bytecode cannot reproduce exactly; the
-    /// caller then falls back to tree-walking evaluation for the whole set.
+    /// interpreter semantics the bytecode cannot reproduce exactly.
     pub fn compile(vcs: &[Vc], map: &SlotMap) -> Result<CompiledVcSet, CompileErr> {
         let mut compiler = Compiler::new(map);
         let mut out = Vec::with_capacity(vcs.len());
@@ -167,7 +170,8 @@ impl CompiledVcSet {
     }
 
     /// Checks VC `k` against one pre-state — the compiled equivalent of
-    /// [`check_vc_on_state`](crate::eval::check_vc_on_state).
+    /// [`check_vc_on_state`](crate::eval::check_vc_on_state), as a one-lane
+    /// call of [`check_batch`](Self::check_batch) with a fresh memo.
     ///
     /// # Errors
     ///
@@ -180,45 +184,18 @@ impl CompiledVcSet {
         pre: &SlotState<V>,
         sc: &mut Scratch<V>,
     ) -> Result<VcOutcome, EvalErr> {
-        self.check_budgeted(k, pre, sc, &Budget::unlimited())
-    }
-
-    /// Like [`check`](Self::check), but polls `budget` at quantifier
-    /// back-edges (every [`POLL_STRIDE`] points) and after the body run. A
-    /// tripped budget surfaces as [`EvalErr::Budget`]; callers that govern
-    /// work must consult [`Budget::exhausted`] to tell an interruption from
-    /// an ordinary evaluation failure.
-    pub fn check_budgeted<V: ValueEq>(
-        &self,
-        k: usize,
-        pre: &SlotState<V>,
-        sc: &mut Scratch<V>,
-        budget: &Budget,
-    ) -> Result<VcOutcome, EvalErr> {
-        let vc = &self.vcs[k];
-        for (_, hyp) in &vc.hypotheses {
-            match eval_pred(hyp, &self.set, pre, sc, budget) {
-                Ok(true) => {}
-                Ok(false) | Err(_) => return Ok(VcOutcome::Vacuous),
-            }
-        }
-        // Cloning the pre-state is a few flat memcpys plus Arc bumps; arrays
-        // are copied only if the body stores into them.
-        let mut post = pre.clone();
-        for &slot in &vc.int_scalars {
-            post.seed_int_slot(slot);
-        }
-        let mut steps = 0u64;
-        exec_stmts(&vc.body, &self.set, &mut post, sc, &mut steps, 1_000_000)?;
-        // Charge the body's executed statements as bounded-check fuel.
-        if budget.consume_check_fuel(steps).is_err() {
-            return Err(EvalErr::Budget);
-        }
-        if eval_pred(&vc.conclusion, &self.set, &post, sc, budget)? {
-            Ok(VcOutcome::Holds)
-        } else {
-            Ok(VcOutcome::Violated)
-        }
+        let mut out = Vec::with_capacity(1);
+        self.check_batch(
+            k,
+            &[pre],
+            &[0],
+            sc,
+            &mut self.batch_scratch(),
+            &mut HypMemo::new(),
+            &Budget::unlimited(),
+            &mut out,
+        );
+        out.pop().expect("one lane in, one outcome out")
     }
 
     /// A batch scratch space usable with every VC in the set.
@@ -227,18 +204,18 @@ impl CompiledVcSet {
     }
 
     /// Checks VC `k` against up to [`SLOT_BATCH_MAX_LANES`] pre-states in
-    /// one pass: the batched equivalent of calling
-    /// [`check_budgeted`](Self::check_budgeted) per state, with predicate
-    /// programs executed op-major/lane-minor over SoA-transposed columns.
+    /// one pass, with predicate programs executed op-major/lane-minor over
+    /// SoA-transposed columns.
     ///
-    /// Per-lane outcomes (including which evaluation error fires first)
-    /// match the scalar engine exactly: mask narrowing reproduces the
-    /// hypothesis short-circuit, bodies run per lane through the scalar
-    /// executor, and quantifier clauses sweep the union box in lexicographic
-    /// order so each lane visits its own points in its own scalar order.
-    /// Fuel is charged at the same rates (1 per body step, 1 per quantifier
-    /// point) but polled at batch granularity, so a tripped budget may
-    /// surface on a different lane than a scalar sweep would pick.
+    /// Each lane's outcome is the one a lane-by-lane tree walk would give,
+    /// and which evaluation error fires first does not depend on the batch:
+    /// mask narrowing reproduces the hypothesis short-circuit, bodies run
+    /// per lane through the scalar statement executor, and quantifier
+    /// clauses sweep the union box in lexicographic order so each lane
+    /// visits its own points in its own order. Fuel is charged at 1 per
+    /// body step and 1 per quantifier point, polled at batch granularity,
+    /// so a tripped budget may surface on a different lane than a one-lane
+    /// sweep would pick.
     ///
     /// `state_keys` names each lane's pre-state (parallel to `pres`) for
     /// the hypothesis `memo`: VC families share invariant hypotheses, so
@@ -270,8 +247,8 @@ impl CompiledVcSet {
         let mut active = lane_mask(lanes);
 
         // Hypotheses: a lane whose hypothesis is false *or errors* drops out
-        // as vacuous, mirroring the scalar `Ok(false) | Err(_)` arm. Memo
-        // hits skip evaluation; misses evaluate batched and are recorded.
+        // as vacuous, mirroring the tree walker. Memo hits skip evaluation;
+        // misses evaluate batched and are recorded.
         for (uid, hyp) in &vc.hypotheses {
             if active == 0 {
                 break;
@@ -304,9 +281,9 @@ impl CompiledVcSet {
             return;
         }
 
-        // Bodies are loop-free and run per lane through the scalar executor
-        // (assignment dispatch is dynamic per state); errors and the body
-        // fuel charge match the scalar path lane for lane.
+        // Bodies are loop-free and run per lane through the scalar statement
+        // executor (assignment dispatch is dynamic per state), so errors and
+        // the body fuel charge are per lane.
         let mut posts: Vec<Option<SlotState<V>>> = (0..lanes).map(|_| None).collect();
         for lane in lanes_in(active) {
             let mut post = pres[lane].clone();
@@ -425,36 +402,7 @@ fn compile_clause(
     })
 }
 
-fn eval_pred<V: ValueEq>(
-    pred: &CompiledPred,
-    set: &ProgramSet,
-    st: &SlotState<V>,
-    sc: &mut Scratch<V>,
-    budget: &Budget,
-) -> Result<bool, EvalErr> {
-    match pred {
-        CompiledPred::Bool(p) => p.eval_bool(set, st, sc),
-        CompiledPred::DataEq { prog, lhs, rhs } => {
-            prog.run(set, st, sc)?;
-            Ok(sc.dreg(*lhs).clone().value_eq(sc.dreg(*rhs)))
-        }
-        CompiledPred::Forall(clause) => eval_clause(clause, set, st, sc, budget),
-        CompiledPred::Stride { slot, lo, step } => {
-            let v = st.int_slot(*slot).ok_or(EvalErr::UnboundInt(*slot))?;
-            let lo = lo.eval_int(set, st, sc)?;
-            Ok(v >= lo && (v - lo).rem_euclid(*step) == 0)
-        }
-        CompiledPred::And(ps) => {
-            for p in ps {
-                if !eval_pred(p, set, st, sc, budget)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-    }
-}
-
+/// Enumerates one lane's clause points in lexicographic order.
 fn eval_clause<V: ValueEq>(
     clause: &CompiledClause,
     set: &ProgramSet,
@@ -523,13 +471,13 @@ fn eval_clause<V: ValueEq>(
     }
 }
 
-/// Batched [`eval_pred`]: evaluates the predicate for every lane in
-/// `active` and returns the mask of lanes where it is *true*. A lane that
-/// evaluates to false simply drops out of the returned mask; a lane that
-/// errors additionally records its failure in `errs[lane]` (first error per
-/// lane wins, matching the scalar engine's error-surfacing order). `states`
-/// holds the per-lane originals for the scalar fallbacks (programs with
-/// lane-divergent short-circuit jumps, stride-misaligned clause chunks).
+/// Evaluates the predicate for every lane in `active` and returns the mask
+/// of lanes where it is *true*. A lane that evaluates to false simply drops
+/// out of the returned mask; a lane that errors additionally records its
+/// failure in `errs[lane]` (first error per lane wins, matching the tree
+/// walker's error-surfacing order). `states` holds the per-lane originals
+/// for the per-lane paths (programs with lane-divergent short-circuit
+/// jumps, stride-misaligned clause chunks).
 #[allow(clippy::too_many_arguments)]
 fn eval_pred_batch<V: ValueEq>(
     pred: &CompiledPred,
@@ -580,8 +528,8 @@ fn eval_pred_batch<V: ValueEq>(
             eval_clause_batch(clause, set, batch, states, sc, bsc, active, budget, errs)
         }
         CompiledPred::Stride { slot, lo, step } => {
-            // The scalar engine reads the variable before evaluating `lo`,
-            // so an unbound variable must win over a lower-bound error.
+            // The tree walker reads the variable before evaluating `lo`, so
+            // an unbound variable must win over a lower-bound error.
             let mut have = 0u64;
             for lane in lanes_in(active) {
                 if batch.int(*slot, lane).is_some() {
@@ -616,7 +564,7 @@ fn eval_pred_batch<V: ValueEq>(
     }
 }
 
-/// Per-lane scalar fallback for clause chunks the batched enumerator cannot
+/// Per-lane enumeration for clause chunks the batched enumerator cannot
 /// share a lattice for.
 fn clause_lanes_scalar<V: ValueEq>(
     clause: &CompiledClause,
@@ -641,7 +589,7 @@ fn clause_lanes_scalar<V: ValueEq>(
 /// Batched [`eval_clause`]: one lexicographic sweep of the lanes' *union*
 /// box with per-dimension lane masks selecting which lanes each point
 /// belongs to. Restricting the union sweep to a lane's own box preserves
-/// lexicographic order, so every lane sees exactly the scalar enumeration —
+/// lexicographic order, so every lane sees exactly its own enumeration —
 /// same first violation, same first error — while the point program runs
 /// once per point instead of once per (lane, point).
 #[allow(clippy::too_many_arguments)]
@@ -666,10 +614,9 @@ fn eval_clause_batch<V: ValueEq>(
     }
     let n = clause.bounds.len();
     let lanes = batch.lanes();
-    // Bounds per lane, evaluated in the scalar order (lo then hi, dimension
-    // by dimension) so the first bound error per lane matches the scalar
-    // engine; an errored lane skips the remaining bound programs exactly as
-    // the scalar `?` would.
+    // Bounds per lane, evaluated in the tree walker's order (lo then hi,
+    // dimension by dimension) so the first bound error per lane matches it;
+    // an errored lane skips the remaining bound programs.
     let mut lo = vec![0i64; n * lanes];
     let mut hi = vec![0i64; n * lanes];
     let mut ok = active;
@@ -696,7 +643,8 @@ fn eval_clause_batch<V: ValueEq>(
     if enumerate == 0 {
         return t;
     }
-    // The scalar engine resolves the output array before the first point.
+    // The output array is resolved before the first point, as in
+    // `eval_clause`.
     for lane in lanes_in(enumerate) {
         if batch.array(clause.array, lane).is_none() {
             errs[lane] = Some(EvalErr::UnboundArray(clause.array));
@@ -949,8 +897,9 @@ mod tests {
     #[test]
     fn batched_check_agrees_with_scalar_lane_for_lane() {
         // Correct, violated, and erroring postconditions, each checked on a
-        // batch mixing the initial and final states: every lane's outcome —
-        // including the exact error — must equal the scalar engine's.
+        // batch mixing the initial and final states: every lane's outcome
+        // must equal the tree interpreter's, and its exact error must equal
+        // the one-lane call's.
         let (kernel, mut state) = example();
         let nest = analyze_loop_nest(&kernel).unwrap();
         let initial = state.clone();
@@ -981,7 +930,8 @@ mod tests {
             let compiled = CompiledVcSet::compile(&vcs, &map).unwrap();
             let mut sc = compiled.scratch::<f64>();
             let mut bsc = compiled.batch_scratch::<f64>();
-            let states: Vec<SlotState<f64>> = [&initial, &state, &initial, &state]
+            let oracle = [&initial, &state, &initial, &state];
+            let states: Vec<SlotState<f64>> = oracle
                 .iter()
                 .map(|s| SlotState::from_state(s, &map))
                 .collect();
@@ -1005,10 +955,13 @@ mod tests {
                 );
                 assert_eq!(out.len(), refs.len());
                 for (lane, got) in out.iter().enumerate() {
-                    let scalar = compiled.check(k, refs[lane], &mut sc);
-                    match (scalar, got) {
+                    let interp = check_vc_on_state(vc, oracle[lane]);
+                    let one_lane = compiled.check(k, refs[lane], &mut sc);
+                    match (interp, got) {
                         (Ok(a), Ok(b)) => assert_eq!(a, *b, "lane {lane} on {}", vc.name),
-                        (Err(a), Err(b)) => assert_eq!(a, *b, "lane {lane} on {}", vc.name),
+                        (Err(_), Err(b)) => {
+                            assert_eq!(one_lane, Err(*b), "lane {lane} on {}", vc.name)
+                        }
                         (a, b) => {
                             panic!("divergence lane {lane} on {}: {a:?} vs {b:?}", vc.name)
                         }

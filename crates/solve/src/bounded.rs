@@ -16,9 +16,13 @@
 //!   ([`stng_ir::slots::SlotState`]), captured by a bytecode-compiled
 //!   tracer, and VCs are lowered once per candidate into flat programs
 //!   ([`stng_pred::compile::CompiledVcSet`]), so the per-quantifier-point
-//!   work is a handful of register ops with zero allocation. The
-//!   tree-walking evaluator remains both the fallback (for kernels or VCs
-//!   outside the compiled subset) and the differential-testing oracle.
+//!   work is a handful of register ops with zero allocation. This is the
+//!   only production engine: a kernel body the slot compiler rejects, or a
+//!   VC set outside the compiled subset, is an `Err` (which CEGIS treats as
+//!   a rejected candidate). The tree interpreter is the differential oracle
+//!   only — [`stng_ir::interp`] for capture,
+//!   [`stng_pred::eval::check_vc_on_state`] for VCs (see
+//!   [`CheckSession::find_counterexample_exhaustive`]).
 //! * **Cross-candidate state reuse** — reachable states depend only on the
 //!   kernel and the (size, trial) seed, never on the candidate. A
 //!   [`CheckSession`] owned by the CEGIS loop captures them once into
@@ -31,29 +35,22 @@
 //!   the small grid never pay for the large one. Escalation order is
 //!   deterministic (the configured `grid_sizes` order), so CEGIS
 //!   trajectories and canonical reports stay byte-identical across runs.
-//! * **Kill-rate-ordered VCs** — the session counts counterexamples per VC
-//!   family and scans historically lethal VCs first, so a killed
-//!   candidate's scan short-circuits before paying for the VCs it would
-//!   have survived. The order derives from deterministic counters (never
-//!   timing), and reordering cannot change a candidate's verdict: a
-//!   candidate survives iff *no* VC fails on *any* state.
-//! * **Batched structure-of-arrays execution** — within a unit, each
-//!   compiled VC program runs across all in-scope captured states in one
-//!   op-major pass over SoA-transposed state columns
-//!   ([`stng_ir::slots::SlotBatch`]) instead of re-entering the interpreter
-//!   per state; per-lane outcomes match the scalar engine exactly.
+//! * **Batched structure-of-arrays execution** — within a unit, VCs are
+//!   scanned in the order they were generated, each compiled VC program
+//!   running across all in-scope captured states in one op-major pass over
+//!   SoA-transposed state columns ([`stng_ir::slots::SlotBatch`]) instead
+//!   of re-entering an evaluator per state.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use stng_intern::guard::{fault, Budget};
 use stng_ir::error::{Error, Result};
-use stng_ir::interp::{eval_bool_expr, eval_data_expr, eval_int_expr, ArrayData, State};
-use stng_ir::ir::{IrStmt, Kernel, ParamKind};
+use stng_ir::interp::{eval_int_expr, ArrayData, State};
+use stng_ir::ir::{Kernel, ParamKind};
 use stng_ir::slots::{
     exec_stmts_traced, Compiler, LoopTrace, ProgramSet, Scratch, SlotMap, SlotState, SlotStmt,
     SLOT_BATCH_MAX_LANES,
@@ -162,28 +159,6 @@ impl BoundedChecker {
     pub fn unit_seed(&self, size: i64, trial: usize) -> u64 {
         splitmix(splitmix(self.seed ^ (size as u64)) ^ (trial as u64))
     }
-
-    /// Checks every VC on every reachable loop-head state of the kernel
-    /// under several random small inputs. Returns the first violation found
-    /// (in deterministic size → trial → state → VC order, independent of the
-    /// thread count), or `None` when all checks pass (which does **not**
-    /// imply validity).
-    ///
-    /// This is the standalone entry point; the CEGIS loop holds a
-    /// [`CheckSession`] instead, so the capture cost is paid once for the
-    /// whole candidate set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates interpreter errors from state capture (e.g. a runaway
-    /// loop), which the synthesizer also treats as rejection.
-    pub fn find_counterexample(
-        &self,
-        kernel: &Kernel,
-        vcs: &[Vc],
-    ) -> Result<Option<Counterexample>> {
-        CheckSession::new(self.clone(), kernel.clone()).find_counterexample(vcs)
-    }
 }
 
 /// The reachable states of one (size, trial) execution.
@@ -196,8 +171,8 @@ pub struct CapturedUnit {
     /// Snapshots in execution order, tagged with their program point.
     pub states: Vec<(StateOrigin, SlotState<ModInt>)>,
     /// Hash-map views of `states`, materialized once on first use by the
-    /// tree-walking fallback (the conversion deep-copies array payloads, so
-    /// it must not repeat per candidate).
+    /// tree-walking reference scan (the conversion deep-copies array
+    /// payloads, so it must not repeat per candidate).
     oracle: OnceLock<Vec<State<ModInt>>>,
 }
 
@@ -252,12 +227,9 @@ pub struct CheckSession {
     kernel: Kernel,
     map: Arc<SlotMap>,
     tiers: Vec<Tier>,
-    compiled_body: OnceLock<Option<(Vec<SlotStmt>, ProgramSet)>>,
+    compiled_body: OnceLock<Result<(Vec<SlotStmt>, ProgramSet)>>,
     capture_runs: AtomicU64,
     check_ns: AtomicU64,
-    /// Counterexamples found so far, keyed by VC family name; candidate
-    /// scans try historically lethal VCs first.
-    kill_counts: Mutex<HashMap<String, u64>>,
     screened: AtomicU64,
     survivors: AtomicU64,
     batch_scans: AtomicU64,
@@ -294,7 +266,6 @@ impl CheckSession {
             compiled_body: OnceLock::new(),
             capture_runs: AtomicU64::new(0),
             check_ns: AtomicU64::new(0),
-            kill_counts: Mutex::new(HashMap::new()),
             screened: AtomicU64::new(0),
             survivors: AtomicU64::new(0),
             batch_scans: AtomicU64::new(0),
@@ -370,19 +341,17 @@ impl CheckSession {
             .collect()
     }
 
-    /// The kernel body compiled once per session; kernels outside the
-    /// compiled subset (hand-built IR with conditionals) capture through
-    /// the tree-walking tracer instead.
-    fn compiled_body(&self) -> Option<&(Vec<SlotStmt>, ProgramSet)> {
-        self.compiled_body
-            .get_or_init(|| {
-                let mut compiler = Compiler::new(&self.map);
-                compiler
-                    .compile_stmts(&self.kernel.body)
-                    .ok()
-                    .map(|body| (body, compiler.into_set()))
-            })
-            .as_ref()
+    /// The kernel body compiled once per session. A body outside the
+    /// compiled subset (hand-built IR with conditionals, say) is an error
+    /// that every capture unit reports.
+    fn compiled_body(&self) -> &Result<(Vec<SlotStmt>, ProgramSet)> {
+        self.compiled_body.get_or_init(|| {
+            let mut compiler = Compiler::new(&self.map);
+            let body = compiler
+                .compile_stmts(&self.kernel.body)
+                .map_err(|e| Error::interp(format!("bounded check: kernel body {e}")))?;
+            Ok((body, compiler.into_set()))
+        })
     }
 
     /// Captures tier `t` (all trials of one grid size) on first touch.
@@ -412,21 +381,23 @@ impl CheckSession {
                     capture_ns: 0,
                 };
             }
+            let (body, set) = match self.compiled_body() {
+                Ok(compiled) => compiled,
+                Err(err) => {
+                    return Captured {
+                        units: vec![Err(err.clone())],
+                        capture_ns: 0,
+                    }
+                }
+            };
             let start = Instant::now();
-            let compiled = self.compiled_body();
             let units: Vec<(i64, usize)> = (0..self.checker.trials_per_size)
                 .map(|trial| (tier.size, trial))
                 .collect();
             let units =
                 stng_intern::parallel::map(&units, self.checker.parallelism, |&(size, trial)| {
-                    match compiled {
-                        Some((body, set)) => self
-                            .capture_unit_compiled(body, set, size, trial)
-                            .map(|states| CapturedUnit::new(size, trial, states)),
-                        None => self
-                            .capture_unit_interp(size, trial)
-                            .map(|states| CapturedUnit::new(size, trial, states)),
-                    }
+                    self.capture_unit(body, set, size, trial)
+                        .map(|states| CapturedUnit::new(size, trial, states))
                 });
             Captured {
                 units,
@@ -468,9 +439,9 @@ impl CheckSession {
     }
 
     /// Runs the kernel through the compiled tracer and captures the initial
-    /// state, the state at the head of every loop iteration, and the final
-    /// state.
-    fn capture_unit_compiled(
+    /// state, the state at the head of every loop iteration and at every
+    /// loop exit, and the final state.
+    fn capture_unit(
         &self,
         body: &[SlotStmt],
         set: &ProgramSet,
@@ -496,83 +467,45 @@ impl CheckSession {
         Ok(sink.snapshots)
     }
 
-    /// Tree-walking capture fallback for kernels outside the compiled
-    /// subset; also the oracle the differential tests compare against.
-    fn capture_unit_interp(
-        &self,
-        size: i64,
-        trial: usize,
-    ) -> Result<Vec<(StateOrigin, SlotState<ModInt>)>> {
-        self.capture_runs.fetch_add(1, Ordering::Relaxed);
-        let mut rng = StdRng::seed_from_u64(self.checker.unit_seed(size, trial));
-        let mut state = self.initial_state(size, &mut rng)?.to_state();
-        let mut tracer = Tracer {
-            snapshots: vec![(StateOrigin::Initial, state.clone())],
-            steps: 0,
-            max_steps: 200_000,
-        };
-        tracer.run(&self.kernel.body, &mut state)?;
-        if self.budget.consume_check_fuel(tracer.steps).is_err() {
-            return Err(self.budget_error());
-        }
-        tracer.snapshots.push((StateOrigin::Final, state));
-        Ok(tracer
-            .snapshots
-            .into_iter()
-            .map(|(origin, s)| (origin, SlotState::from_state(&s, &self.map)))
-            .collect())
-    }
-
-    /// The candidate scan order over VC indices: historically lethal VC
-    /// families first (kill counts descending), original index as the
-    /// deterministic tie-break. A fresh session has no kills, so the order
-    /// starts as the input order.
-    fn kill_order(&self, vcs: &[Vc]) -> Vec<usize> {
-        let counts = self.kill_counts.lock().unwrap_or_else(|p| p.into_inner());
-        let mut order: Vec<usize> = (0..vcs.len()).collect();
-        order.sort_by_key(|&k| {
-            (
-                std::cmp::Reverse(counts.get(&vcs[k].name).copied().unwrap_or(0)),
-                k,
-            )
-        });
-        order
-    }
-
-    fn record_kill(&self, vc_name: &str) {
-        let mut counts = self.kill_counts.lock().unwrap_or_else(|p| p.into_inner());
-        *counts.entry(vc_name.to_string()).or_insert(0) += 1;
-    }
-
     /// Checks the candidate's VCs against the captured states, escalating
     /// tier by tier: the first tier's units are scanned first, and a later
     /// tier is captured/scanned only when every earlier tier passes.
     /// Returns the first violation found (deterministic: tiers in
-    /// `grid_sizes` order, units in trial order, VCs in the session's
-    /// kill-rate order, states in execution order — independent of the
-    /// thread count), or `None` when all checks pass.
+    /// `grid_sizes` order, units in trial order, VCs in generation order,
+    /// states in execution order — independent of the thread count), or
+    /// `None` when all checks pass.
     ///
     /// Which counterexample is reported can differ from the exhaustive
-    /// state-major scan (the kill-rate order puts lethal VC families
-    /// first), but *whether* one exists cannot: a candidate survives iff no
-    /// VC fails on any state of any tier, which no ordering changes. The
-    /// adaptive-vs-exhaustive differential suite pins this corpus-wide.
+    /// state-major scan (this scan is VC-major within a unit), but *whether*
+    /// one exists cannot: a candidate survives iff no VC fails on any state
+    /// of any tier. The adaptive-vs-exhaustive differential suite pins this
+    /// corpus-wide.
     ///
     /// # Errors
     ///
-    /// Propagates interpreter errors from state capture — but, as with the
-    /// pre-session per-unit pipeline, only when no earlier unit already
-    /// produced a violation: the first Some result in unit order wins,
-    /// whether it is a counterexample or a capture error. (VC *evaluation*
-    /// errors are rejections, not errors: they become counterexamples, as in
-    /// the tree-walking checker.)
+    /// Returns an error when the kernel body or the VC set is outside the
+    /// compiled subset, and propagates interpreter errors from state
+    /// capture — but, as with the pre-session per-unit pipeline, only when
+    /// no earlier unit already produced a violation: the first Some result
+    /// in unit order wins, whether it is a counterexample or a capture
+    /// error. (VC *evaluation* errors are rejections, not errors: they
+    /// become counterexamples, as in the tree-walking checker.)
     pub fn find_counterexample(&self, vcs: &[Vc]) -> Result<Option<Counterexample>> {
         let _span = stng_obs::span(&stng_obs::names::BOUNDED_SCAN);
         let start = Instant::now();
         self.screened.fetch_add(1, Ordering::Relaxed);
-        let compiled = CompiledVcSet::compile(vcs, &self.map);
-        let order = self.kill_order(vcs);
-        let mut result: Result<Option<Counterexample>> = Ok(None);
+        let result = self.screen(vcs);
+        self.check_ns
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if let Ok(None) = result {
+            self.survivors.fetch_add(1, Ordering::Relaxed);
+        }
+        result
+    }
+
+    fn screen(&self, vcs: &[Vc]) -> Result<Option<Counterexample>> {
+        let compiled = CompiledVcSet::compile(vcs, &self.map)
+            .map_err(|e| Error::interp(format!("bounded check: VC set {e}")))?;
         for t in 0..self.tiers.len() {
             let mut rung = stng_obs::span(&stng_obs::names::BOUNDED_TIER);
             rung.arg(self.tiers[t].size as u64);
@@ -580,81 +513,47 @@ impl CheckSession {
             let found = stng_intern::parallel::find_first(
                 &captured.units,
                 self.checker.parallelism,
-                |_, unit| -> Option<Result<Counterexample>> {
-                    let unit = match unit {
-                        Ok(unit) => unit,
-                        Err(err) => return Some(Err(err.clone())),
-                    };
-                    match &compiled {
-                        Ok(compiled) => self.scan_unit_batched(unit, compiled, vcs, &order),
-                        // A VC outside the compiled subset: tree-walk the
-                        // whole set so evaluation semantics stay those of
-                        // one engine.
-                        Err(_) => self.scan_unit_interp(unit, vcs),
-                    }
+                |_, unit| match unit {
+                    Ok(unit) => self.scan_unit(unit, &compiled, vcs),
+                    Err(err) => Some(Err(err.clone())),
                 },
             );
-            match found {
-                None => {}
-                Some((_, Ok(cex))) => {
-                    result = Ok(Some(cex));
-                    break;
-                }
-                Some((_, Err(err))) => {
-                    result = Err(err);
-                    break;
-                }
+            if let Some((_, found)) = found {
+                return found.map(Some);
             }
         }
-        self.check_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        match &result {
-            Ok(None) => {
-                self.survivors.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(Some(cex)) => self.record_kill(&cex.vc_name),
-            Err(_) => {}
-        }
-        result
+        Ok(None)
     }
 
-    /// Exhaustive reference scan: captures every tier up front and checks
-    /// every VC on every state in the legacy size → trial → state → VC
-    /// order with the scalar engine — no escalation, no kill-rate
-    /// ordering, no batching. The adaptive differential suite compares
+    /// Exhaustive reference scan: checks every VC on every state in
+    /// size → trial → state → VC order with the tree-walking evaluator
+    /// ([`check_vc_on_state`]) — no compiled VCs, no batching. The adaptive differential suite compares
     /// [`find_counterexample`](Self::find_counterexample) against this.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first capture error in unit order.
     pub fn find_counterexample_exhaustive(&self, vcs: &[Vc]) -> Result<Option<Counterexample>> {
-        let compiled = CompiledVcSet::compile(vcs, &self.map);
         for t in 0..self.tiers.len() {
             for unit in &self.capture_tier(t).units {
-                let unit = match unit {
-                    Ok(unit) => unit,
-                    Err(err) => return Err(err.clone()),
-                };
-                let found = match &compiled {
-                    Ok(compiled) => self.scan_unit_scalar(unit, compiled, vcs),
-                    Err(_) => self.scan_unit_interp(unit, vcs),
-                };
-                match found {
-                    None => {}
-                    Some(Ok(cex)) => return Ok(Some(cex)),
-                    Some(Err(err)) => return Err(err),
+                let unit = unit.as_ref().map_err(Error::clone)?;
+                if let Some(found) = self.scan_unit_interp(unit, vcs) {
+                    return found.map(Some);
                 }
             }
         }
         Ok(None)
     }
 
-    /// Batched unit scan: VCs in kill-rate order, each VC's program run
+    /// Batched unit scan: VCs in generation order, each VC's program run
     /// across all in-scope states of the unit in SoA chunks. Within a
     /// chunk lanes are reported in state order, so the scan stays
     /// deterministic; the first failing lane of the first failing VC wins.
-    fn scan_unit_batched(
+    fn scan_unit(
         &self,
         unit: &CapturedUnit,
         compiled: &CompiledVcSet,
         vcs: &[Vc],
-        order: &[usize],
     ) -> Option<Result<Counterexample>> {
         let mut sc = compiled.scratch::<ModInt>();
         let mut bsc = compiled.batch_scratch::<ModInt>();
@@ -666,8 +565,7 @@ impl CheckSession {
         // this unit: VC families repeat invariant hypotheses on the same
         // states, so each distinct (hypothesis, state) pair evaluates once.
         let mut memo = HypMemo::new();
-        for &k in order {
-            let vc = &vcs[k];
+        for (k, vc) in vcs.iter().enumerate() {
             lanes.clear();
             keys.clear();
             origins.clear();
@@ -733,48 +631,8 @@ impl CheckSession {
         None
     }
 
-    /// Legacy state-major scalar scan of one unit: the exhaustive
-    /// reference the differential suite compares the batched path against.
-    fn scan_unit_scalar(
-        &self,
-        unit: &CapturedUnit,
-        compiled: &CompiledVcSet,
-        vcs: &[Vc],
-    ) -> Option<Result<Counterexample>> {
-        let mut sc = compiled.scratch::<ModInt>();
-        for (origin, state) in &unit.states {
-            for (k, vc) in vcs.iter().enumerate() {
-                if !origin.in_scope(&vc.scope) {
-                    continue;
-                }
-                // One fuel unit per (state, VC) check; the compiled check
-                // itself polls at quantifier back-edges.
-                if self.budget.consume_check_fuel(1).is_err() {
-                    return Some(Err(self.budget_error()));
-                }
-                match compiled.check_budgeted(k, state, &mut sc, &self.budget) {
-                    Ok(VcOutcome::Violated) => {
-                        return Some(Ok(Counterexample {
-                            vc_name: vc.name.clone(),
-                            origin: format!("{origin} (size {}, trial {})", unit.size, unit.trial),
-                        }));
-                    }
-                    Ok(_) => {}
-                    Err(err) => {
-                        if self.budget.exhausted().is_some() {
-                            return Some(Err(self.budget_error()));
-                        }
-                        return Some(Ok(Counterexample {
-                            vc_name: vc.name.clone(),
-                            origin: format!("evaluation error: {}", err.render(&self.map)),
-                        }));
-                    }
-                }
-            }
-        }
-        None
-    }
-
+    /// Tree-walking scan of one unit over its hash-map views: the
+    /// exhaustive reference scan's per-unit step.
     fn scan_unit_interp(&self, unit: &CapturedUnit, vcs: &[Vc]) -> Option<Result<Counterexample>> {
         for ((origin, _), state) in unit.states.iter().zip(unit.oracle_states()) {
             for vc in vcs {
@@ -830,101 +688,23 @@ impl LoopTrace<ModInt> for SnapshotSink {
     }
 }
 
-/// The tree-walking tracer: capture fallback for kernels outside the
-/// compiled subset, and the oracle the differential tests compare the
-/// compiled tracer against.
-struct Tracer {
-    snapshots: Vec<(StateOrigin, State<ModInt>)>,
-    steps: u64,
-    max_steps: u64,
-}
-
-impl Tracer {
-    fn run(&mut self, stmts: &[IrStmt], state: &mut State<ModInt>) -> Result<()> {
-        for stmt in stmts {
-            self.steps += 1;
-            if self.steps > self.max_steps {
-                return Err(Error::interp("bounded-checking step budget exhausted"));
-            }
-            match stmt {
-                IrStmt::AssignScalar { name, value } => {
-                    if state.ints.contains_key(name) {
-                        let v = eval_int_expr(value, state)?;
-                        state.ints.insert(name.clone(), v);
-                    } else {
-                        let v = eval_data_expr(value, state)?;
-                        state.reals.insert(name.clone(), v);
-                    }
-                }
-                IrStmt::Store {
-                    array,
-                    indices,
-                    value,
-                } => {
-                    let idx: Result<Vec<i64>> =
-                        indices.iter().map(|ix| eval_int_expr(ix, state)).collect();
-                    let idx = idx?;
-                    let v = eval_data_expr(value, state)?;
-                    let arr = state
-                        .arrays
-                        .get_mut(array)
-                        .ok_or_else(|| Error::interp(format!("unbound array '{array}'")))?;
-                    if !arr.set(&idx, v) {
-                        return Err(Error::interp(format!(
-                            "store index {idx:?} out of bounds for '{array}'"
-                        )));
-                    }
-                }
-                IrStmt::Loop { domain, body } => {
-                    let lo = eval_int_expr(&domain.lo, state)?;
-                    let hi = eval_int_expr(&domain.hi, state)?;
-                    let step = domain.step;
-                    if step == 0 {
-                        return Err(Error::interp("loop with zero step"));
-                    }
-                    let var = &domain.var;
-                    let mut cur = lo;
-                    loop {
-                        let in_range = if step > 0 { cur <= hi } else { cur >= hi };
-                        if !in_range {
-                            break;
-                        }
-                        state.ints.insert(var.clone(), cur);
-                        self.snapshots
-                            .push((StateOrigin::LoopHead(var.clone()), state.clone()));
-                        self.run(body, state)?;
-                        cur += step;
-                    }
-                    state.ints.insert(var.clone(), cur);
-                    self.snapshots
-                        .push((StateOrigin::LoopExit(var.clone()), state.clone()));
-                }
-                IrStmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    if eval_bool_expr(cond, state)? {
-                        self.run(then_body, state)?;
-                    } else {
-                        self.run(else_body, state)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Maximum snapshot count sanity limit used by callers when sizing grids.
-pub const RECOMMENDED_MAX_GRID: i64 = 6;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+    use stng_ir::ir::IrStmt;
     use stng_ir::lower::kernel_from_source;
     use stng_pred::fixtures;
     use stng_pred::vcgen::{analyze_loop_nest, generate_vcs};
+
+    /// Screens one candidate through a fresh session.
+    fn screen_once(
+        checker: &BoundedChecker,
+        kernel: &Kernel,
+        vcs: &[Vc],
+    ) -> Result<Option<Counterexample>> {
+        CheckSession::new(checker.clone(), kernel.clone()).find_counterexample(vcs)
+    }
 
     fn vcs_with(
         post: stng_pred::lang::Postcondition,
@@ -942,9 +722,7 @@ mod tests {
             fixtures::running_example_post(),
             fixtures::running_example_invariants(),
         );
-        let checker = BoundedChecker::new();
-        assert!(checker
-            .find_counterexample(&kernel, &vcs)
+        assert!(screen_once(&BoundedChecker::new(), &kernel, &vcs)
             .unwrap()
             .is_none());
     }
@@ -960,8 +738,7 @@ mod tests {
             ],
         };
         let (kernel, vcs) = vcs_with(post, fixtures::running_example_invariants());
-        let checker = BoundedChecker::new();
-        let cex = checker.find_counterexample(&kernel, &vcs).unwrap();
+        let cex = screen_once(&BoundedChecker::new(), &kernel, &vcs).unwrap();
         assert!(cex.is_some());
     }
 
@@ -973,8 +750,7 @@ mod tests {
             indices: vec![stng_ir::ir::IrExpr::var("i"), stng_ir::ir::IrExpr::var("j")],
         };
         let (kernel, vcs) = vcs_with(fixtures::running_example_post(), invariants);
-        let checker = BoundedChecker::new();
-        let cex = checker.find_counterexample(&kernel, &vcs).unwrap();
+        let cex = screen_once(&BoundedChecker::new(), &kernel, &vcs).unwrap();
         assert!(
             cex.is_some(),
             "expected a counterexample for the wrong invariant"
@@ -987,8 +763,8 @@ mod tests {
         post.clauses[0].eq.rhs = stng_ir::ir::IrExpr::Real(0.0);
         let (kernel, vcs) = vcs_with(post, fixtures::running_example_invariants());
         let checker = BoundedChecker::new();
-        let a = checker.find_counterexample(&kernel, &vcs).unwrap().unwrap();
-        let b = checker.find_counterexample(&kernel, &vcs).unwrap().unwrap();
+        let a = screen_once(&checker, &kernel, &vcs).unwrap().unwrap();
+        let b = screen_once(&checker, &kernel, &vcs).unwrap().unwrap();
         assert_eq!(a.vc_name, b.vc_name);
         assert_eq!(a.origin, b.origin);
     }
@@ -1036,59 +812,105 @@ mod tests {
         assert_eq!(session.survivors(), 0);
     }
 
-    #[test]
-    fn kill_ordering_preserves_counterexample_presence() {
-        // After the first kill the session reorders VCs by kill rate; the
-        // reported counterexample may change, but presence may not — and
-        // the exhaustive reference scan must agree throughout.
-        let mut post = fixtures::running_example_post();
-        post.clauses[0].eq.rhs = stng_ir::ir::IrExpr::Real(0.0);
-        let (kernel, vcs) = vcs_with(post, fixtures::running_example_invariants());
-        let session = CheckSession::new(BoundedChecker::new(), kernel);
-        let first = session.find_counterexample(&vcs).unwrap().unwrap();
-        let second = session.find_counterexample(&vcs).unwrap().unwrap();
-        // Same candidate re-screened in one session: the kill-rate order is
-        // derived from counters, so the rerun is deterministic.
-        assert_eq!(first.vc_name, second.vc_name);
-        assert_eq!(first.origin, second.origin);
-        assert!(session
-            .find_counterexample_exhaustive(&vcs)
-            .unwrap()
-            .is_some());
+    /// Collects the tree interpreter's loop-head and loop-exit states, the
+    /// oracle side of [`compiled_and_interpreted_capture_agree`].
+    struct OracleSink {
+        snapshots: Vec<(StateOrigin, State<ModInt>)>,
     }
 
-    #[test]
-    fn session_and_standalone_agree() {
-        let mut post = fixtures::running_example_post();
-        post.clauses[0].eq.rhs = stng_ir::ir::IrExpr::Real(0.0);
-        let (kernel, vcs) = vcs_with(post, fixtures::running_example_invariants());
-        let checker = BoundedChecker::new();
-        let standalone = checker.find_counterexample(&kernel, &vcs).unwrap().unwrap();
-        let session = CheckSession::new(checker, kernel);
-        let via_session = session.find_counterexample(&vcs).unwrap().unwrap();
-        assert_eq!(standalone.vc_name, via_session.vc_name);
-        assert_eq!(standalone.origin, via_session.origin);
+    impl stng_ir::interp::LoopTrace<ModInt> for OracleSink {
+        fn at_loop_head(&mut self, var_name: &str, state: &State<ModInt>) {
+            self.snapshots
+                .push((StateOrigin::LoopHead(var_name.to_string()), state.clone()));
+        }
+
+        fn at_loop_exit(&mut self, var_name: &str, state: &State<ModInt>) {
+            self.snapshots
+                .push((StateOrigin::LoopExit(var_name.to_string()), state.clone()));
+        }
     }
 
     #[test]
     fn compiled_and_interpreted_capture_agree() {
         let kernel = kernel_from_source(fixtures::RUNNING_EXAMPLE, 0).unwrap();
         let checker = BoundedChecker::new();
-        let session = CheckSession::new(checker, kernel);
+        let session = CheckSession::new(checker.clone(), kernel.clone());
+        let (body, set) = session.compiled_body().as_ref().unwrap();
         for &(size, trial) in &[(3i64, 0usize), (4, 2)] {
-            let mut compiler = Compiler::new(session.map());
-            let body = compiler.compile_stmts(&session.kernel.body).unwrap();
-            let set = compiler.into_set();
-            let fast = session
-                .capture_unit_compiled(&body, &set, size, trial)
+            let fast = session.capture_unit(body, set, size, trial).unwrap();
+            let mut rng = StdRng::seed_from_u64(checker.unit_seed(size, trial));
+            let mut state = session.initial_state(size, &mut rng).unwrap().to_state();
+            let mut sink = OracleSink {
+                snapshots: vec![(StateOrigin::Initial, state.clone())],
+            };
+            stng_ir::interp::run_stmts_traced(&kernel.body, &mut state, 200_000, &mut sink)
                 .unwrap();
-            let slow = session.capture_unit_interp(size, trial).unwrap();
-            assert_eq!(fast.len(), slow.len());
-            for ((ao, a), (bo, b)) in fast.iter().zip(&slow) {
+            sink.snapshots.push((StateOrigin::Final, state));
+            assert_eq!(fast.len(), sink.snapshots.len());
+            for ((ao, a), (bo, b)) in fast.iter().zip(&sink.snapshots) {
                 assert_eq!(ao, bo);
-                assert_eq!(a.to_state(), b.to_state(), "state mismatch at {ao}");
+                assert_eq!(&a.to_state(), b, "state mismatch at {ao}");
             }
         }
+    }
+
+    #[test]
+    fn kernel_body_outside_the_compiled_subset_is_an_error() {
+        // Hand-built IR with a conditional: the slot compiler rejects it,
+        // and with no tree-walking capture fallback the screen must say so
+        // instead of answering.
+        use stng_ir::ir::{IrExpr, IterDomain, Param, ParamKind};
+        let kernel = Kernel {
+            name: "guarded".into(),
+            params: vec![
+                Param {
+                    name: "n".into(),
+                    kind: ParamKind::IntScalar,
+                },
+                Param {
+                    name: "a".into(),
+                    kind: ParamKind::Array {
+                        dims: vec![(IrExpr::Int(0), IrExpr::var("n"))],
+                    },
+                },
+            ],
+            locals: vec![Param {
+                name: "i".into(),
+                kind: ParamKind::IntScalar,
+            }],
+            body: vec![IrStmt::Loop {
+                domain: IterDomain::unit("i", IrExpr::Int(1), IrExpr::var("n")),
+                body: vec![IrStmt::If {
+                    cond: IrExpr::cmp(stng_ir::ir::CmpOp::Gt, IrExpr::var("i"), IrExpr::Int(1)),
+                    then_body: vec![IrStmt::Store {
+                        array: "a".into(),
+                        indices: vec![IrExpr::var("i")],
+                        value: IrExpr::Real(0.0),
+                    }],
+                    else_body: vec![],
+                }],
+            }],
+            assumptions: vec![],
+        };
+        let tautology = Vc {
+            name: "tautology".into(),
+            hypotheses: vec![],
+            body: vec![],
+            conclusion: stng_pred::lang::Pred::Bool(IrExpr::cmp(
+                stng_ir::ir::CmpOp::Eq,
+                IrExpr::Int(0),
+                IrExpr::Int(0),
+            )),
+            int_scalars: vec![],
+            scope: VcScope::Any,
+        };
+        let session = CheckSession::new(BoundedChecker::new(), kernel);
+        let err = session
+            .find_counterexample(std::slice::from_ref(&tautology))
+            .unwrap_err();
+        assert!(err.to_string().contains("not compilable"), "error: {err}");
+        assert_eq!(session.capture_count(), 0, "nothing was executed");
+        assert_eq!(session.survivors(), 0);
     }
 
     #[test]
@@ -1146,8 +968,7 @@ mod tests {
             scope: VcScope::Initial,
         };
         let checker = BoundedChecker::new(); // grid sizes [3, 4]
-        let cex = checker
-            .find_counterexample(&kernel, std::slice::from_ref(&always_false))
+        let cex = screen_once(&checker, &kernel, std::slice::from_ref(&always_false))
             .expect("size-3 violation wins over the size-4 capture error")
             .expect("the always-false VC is violated");
         assert_eq!(cex.vc_name, "always-false");
@@ -1157,9 +978,8 @@ mod tests {
             grid_sizes: vec![4],
             ..BoundedChecker::new()
         };
-        let err = failing_only
-            .find_counterexample(&kernel, std::slice::from_ref(&always_false))
-            .unwrap_err();
+        let err =
+            screen_once(&failing_only, &kernel, std::slice::from_ref(&always_false)).unwrap_err();
         assert!(
             err.to_string().contains("out of bounds"),
             "unexpected error: {err}"

@@ -85,23 +85,15 @@ impl SmtLite {
         SmtLite::default()
     }
 
-    /// Verifies a set of VCs; valid only if every one is valid.
-    pub fn verify_all(&self, vcs: &[Vc]) -> Verdict {
-        self.verify_all_counting(vcs).0
-    }
-
-    /// Like [`SmtLite::verify_all`], additionally returning the total number
-    /// of proof attempts spent (the case-split search effort), for
-    /// benchmarking instrumentation.
-    pub fn verify_all_counting(&self, vcs: &[Vc]) -> (Verdict, usize) {
-        self.verify_all_governed(vcs, &Budget::unlimited())
-    }
-
-    /// Like [`SmtLite::verify_all_counting`], but every proof attempt also
-    /// charges the shared [`Budget`] (attempt pool + wall-clock deadline).
+    /// Verifies a set of VCs without memoization; valid only if every one
+    /// is valid. Returns the verdict and the total number of proof attempts
+    /// spent (the case-split search effort). Every proof attempt charges
+    /// the shared [`Budget`] (attempt pool + wall-clock deadline).
     /// Exhaustion yields `Verdict::Unknown` — sound but incomplete, exactly
     /// like the prover's own internal limits; the caller distinguishes the
-    /// cases via [`Budget::exhausted`].
+    /// cases via [`Budget::exhausted`]. This is the memo-free side of the
+    /// prover differential; production goes through
+    /// [`SmtLite::verify_all_session`].
     pub fn verify_all_governed(&self, vcs: &[Vc], budget: &Budget) -> (Verdict, usize) {
         self.verify_all_with(vcs, budget, None, false)
     }
@@ -144,23 +136,6 @@ impl SmtLite {
             }
         }
         (Verdict::Valid, attempts)
-    }
-
-    /// Verifies a single VC.
-    pub fn verify_vc(&self, vc: &Vc) -> Verdict {
-        self.verify_vc_counting(vc).0
-    }
-
-    /// Like [`SmtLite::verify_vc`], additionally returning the number of
-    /// proof attempts spent.
-    pub fn verify_vc_counting(&self, vc: &Vc) -> (Verdict, usize) {
-        self.verify_vc_governed(vc, &Budget::unlimited())
-    }
-
-    /// Budget-governed single-VC verification; see
-    /// [`SmtLite::verify_all_governed`].
-    pub fn verify_vc_governed(&self, vc: &Vc, budget: &Budget) -> (Verdict, usize) {
-        self.verify_vc_with(vc, budget, None, false)
     }
 
     fn verify_vc_with(
@@ -683,6 +658,20 @@ mod tests {
     use stng_pred::fixtures;
     use stng_pred::vcgen::{analyze_loop_nest, generate_vcs};
 
+    /// Verifies one VC through the memo-free entry point.
+    fn verify_one(vc: &Vc) -> Verdict {
+        SmtLite::new()
+            .verify_all_governed(std::slice::from_ref(vc), &Budget::unlimited())
+            .0
+    }
+
+    /// Verifies a VC set through the memo-free entry point.
+    fn verify_set(vcs: &[Vc]) -> Verdict {
+        SmtLite::new()
+            .verify_all_governed(vcs, &Budget::unlimited())
+            .0
+    }
+
     fn running_example_vcs() -> Vec<Vc> {
         let kernel = kernel_from_source(fixtures::RUNNING_EXAMPLE, 0).unwrap();
         let nest = analyze_loop_nest(&kernel).unwrap();
@@ -697,23 +686,18 @@ mod tests {
     #[test]
     fn running_example_initiation_and_descend_are_valid() {
         let vcs = running_example_vcs();
-        let prover = SmtLite::new();
         for name in ["initiation(j)", "descend(j->i)"] {
             let vc = vcs.iter().find(|vc| vc.name == name).unwrap();
-            assert!(
-                prover.verify_vc(vc).is_valid(),
-                "{name} should be valid: {:?}",
-                prover.verify_vc(vc)
-            );
+            let verdict = verify_one(vc);
+            assert!(verdict.is_valid(), "{name} should be valid: {verdict:?}");
         }
     }
 
     #[test]
     fn running_example_preservation_is_valid() {
         let vcs = running_example_vcs();
-        let prover = SmtLite::new();
         let vc = vcs.iter().find(|vc| vc.name == "preservation(i)").unwrap();
-        let verdict = prover.verify_vc(vc);
+        let verdict = verify_one(vc);
         assert!(
             verdict.is_valid(),
             "preservation should be valid: {verdict:?}"
@@ -723,18 +707,16 @@ mod tests {
     #[test]
     fn running_example_ascend_and_exit_are_valid() {
         let vcs = running_example_vcs();
-        let prover = SmtLite::new();
         for name in ["ascend(i->j)", "exit"] {
             let vc = vcs.iter().find(|vc| vc.name == name).unwrap();
-            let verdict = prover.verify_vc(vc);
+            let verdict = verify_one(vc);
             assert!(verdict.is_valid(), "{name} should be valid: {verdict:?}");
         }
     }
 
     #[test]
     fn full_vc_set_verifies() {
-        let prover = SmtLite::new();
-        assert!(prover.verify_all(&running_example_vcs()).is_valid());
+        assert!(verify_set(&running_example_vcs()).is_valid());
     }
 
     #[test]
@@ -753,8 +735,7 @@ mod tests {
             &fixtures::running_example_invariants(),
             &post,
         );
-        let prover = SmtLite::new();
-        assert!(!prover.verify_all(&vcs).is_valid());
+        assert!(!verify_set(&vcs).is_valid());
     }
 
     #[test]
@@ -773,8 +754,7 @@ mod tests {
             &invariants,
             &fixtures::running_example_post(),
         );
-        let prover = SmtLite::new();
-        assert!(!prover.verify_all(&vcs).is_valid());
+        assert!(!verify_set(&vcs).is_valid());
     }
 
     #[test]
@@ -820,6 +800,6 @@ mod tests {
             int_scalars: vec![],
             scope: stng_pred::vcgen::VcScope::Any,
         };
-        assert!(SmtLite::new().verify_vc(&vc).is_valid());
+        assert!(verify_one(&vc).is_valid());
     }
 }

@@ -1,20 +1,22 @@
 //! Differential property test for the adaptive bounded screen: the staged
-//! (escalating-tier), kill-rate-ordered, batched `find_counterexample` must
-//! agree with the exhaustive per-state reference scan
-//! (`find_counterexample_exhaustive`) on every candidate's *verdict* —
-//! counterexample present, absent, or error — across the whole corpus.
+//! (escalating-tier), batched `find_counterexample` must agree with the
+//! exhaustive tree-walking reference scan (`find_counterexample_exhaustive`,
+//! which evaluates every VC with `check_vc_on_state`) on every candidate's
+//! *verdict* — counterexample present, absent, or error — across the whole
+//! corpus.
 //!
 //! The two scans are allowed to report *different* counterexamples (the
-//! adaptive scan reorders VCs by historical kill rate and sweeps states in
-//! SoA batches), but never to disagree on whether one exists: CEGIS only
-//! consumes presence, so that is the contract the optimization must keep.
+//! adaptive scan is VC-major within a unit and sweeps states in SoA
+//! batches; the reference is state-major), but never to disagree on whether
+//! one exists: CEGIS only consumes presence, so that is the contract the
+//! production engine must keep.
 //!
 //! Candidate families per kernel mirror the compiled-vs-interpreter
 //! differential: a trivial postcondition (survives), a wrong one (killed by
 //! a violation), an erroring one (killed by an evaluation error), and an
 //! unbound-hypothesis variant (vacuous everywhere, survives). Each family
 //! is screened twice through one shared session so the second screening
-//! runs under reordered (kill-count-warmed) VCs and the capture cache.
+//! runs on the captured-state cache.
 //! CI runs this in release as part of the bench-smoke job.
 
 use stng_ir::ir::{CmpOp, IrExpr, Kernel};
@@ -156,8 +158,8 @@ fn adaptive_screen_agrees_with_exhaustive_on_every_corpus_kernel() {
         }
         families.push(("unbound-hyp", unbound));
 
-        // Two rounds: the second screens under kill counters accumulated by
-        // the first, so the reordered-VC path is differentially tested too.
+        // Two rounds: the second screens states the first already captured,
+        // so the cached-capture path is differentially tested too.
         for round in 0..2 {
             for (family, vcs) in &families {
                 let label = format!("{}/{family}/round{round}", corpus_kernel.name);

@@ -234,47 +234,20 @@ pub struct SynthesisOutcome {
     pub phase: PhaseTimings,
 }
 
-/// Synthesizes a verified summary for a kernel using the default
-/// configuration.
+/// Synthesizes a verified summary for a kernel: the one CEGIS entry point.
 ///
-/// # Errors
+/// Returns the phase timings of whatever checking ran beside the result —
+/// including on the failure paths, where there is no [`SynthesisOutcome`]
+/// to carry them (a kernel that screens every CEGIS candidate and then
+/// fails validation still spent its capture and bounded-check time, and
+/// per-kernel reports should say so). On success the tuple's timings are
+/// identical to `outcome.phase` (both are set from the same measurement).
 ///
-/// See [`SynthesisFailure`].
-pub fn synthesize(kernel: &Kernel) -> Result<SynthesisOutcome, SynthesisFailure> {
-    synthesize_with(kernel, &SynthesisConfig::default())
-}
-
-/// Synthesizes a verified summary for a kernel.
-///
-/// # Errors
-///
-/// See [`SynthesisFailure`].
-pub fn synthesize_with(
-    kernel: &Kernel,
-    config: &SynthesisConfig,
-) -> Result<SynthesisOutcome, SynthesisFailure> {
-    synthesize_with_phases(kernel, config).0
-}
-
-/// Like [`synthesize_with`], but also returns the phase timings of whatever
-/// checking ran — including on the failure paths, where there is no
-/// [`SynthesisOutcome`] to carry them (a kernel that screens every CEGIS
-/// candidate and then fails validation still spent its capture and
-/// bounded-check time, and per-kernel reports should say so). On success
-/// the tuple's timings are identical to `outcome.phase` (both are set from
-/// the same measurement); the tuple exists for the `Err` arm.
-pub fn synthesize_with_phases(
-    kernel: &Kernel,
-    config: &SynthesisConfig,
-) -> (Result<SynthesisOutcome, SynthesisFailure>, PhaseTimings) {
-    synthesize_governed_with_phases(kernel, config, &Budget::unlimited())
-}
-
-/// Budget-governed synthesis. The [`Budget`] is threaded cooperatively
-/// through all three engines — the candidate loop (polled per candidate),
-/// the case-split prover (polled per proof attempt), and the bounded
-/// checker (fuel per capture step / VC check, deadline at back-edges). The
-/// degradation ladder on exhaustion:
+/// The [`Budget`] (pass [`Budget::unlimited`] for an ungoverned run) is
+/// threaded cooperatively through all three engines — the candidate loop
+/// (polled per candidate), the case-split prover (polled per proof
+/// attempt), and the bounded checker (fuel per capture step / VC check,
+/// deadline at back-edges). The degradation ladder on exhaustion:
 ///
 /// 1. prover attempts run dry → the bounded-validation fallback still runs;
 ///    an accepted summary carries `soundly_verified = false` and
@@ -631,6 +604,11 @@ mod tests {
     use super::*;
     use stng_ir::lower::kernel_from_source;
     use stng_pred::fixtures;
+
+    /// Ungoverned synthesis with the default configuration.
+    fn synthesize(kernel: &Kernel) -> Result<SynthesisOutcome, SynthesisFailure> {
+        synthesize_governed_with_phases(kernel, &SynthesisConfig::default(), &Budget::unlimited()).0
+    }
 
     #[test]
     fn running_example_is_soundly_lifted() {

@@ -325,6 +325,12 @@ mod tests {
     fn guarded_kernels_are_rejected_by_the_normal_pipeline() {
         let kernel = guarded_benchmark_kernel(ConditionalGrammar::DataDependent);
         assert!(kernel.has_conditionals());
-        assert!(crate::cegis::synthesize(&kernel).is_err());
+        let budget = stng_intern::guard::Budget::unlimited();
+        let (result, _) = crate::cegis::synthesize_governed_with_phases(
+            &kernel,
+            &crate::cegis::SynthesisConfig::default(),
+            &budget,
+        );
+        assert!(result.is_err());
     }
 }

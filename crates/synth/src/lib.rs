@@ -27,6 +27,6 @@ pub mod control;
 pub mod invariant;
 pub mod postcond;
 
-pub use cegis::{synthesize, PhaseTimings, SynthesisConfig, SynthesisFailure, SynthesisOutcome};
+pub use cegis::{PhaseTimings, SynthesisConfig, SynthesisFailure, SynthesisOutcome};
 pub use control::ControlBits;
 pub use postcond::PostcondCandidate;

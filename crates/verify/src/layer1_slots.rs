@@ -17,11 +17,12 @@
 //!   {0, 900} plus a coefficient-bumped variant, exercising quantifier
 //!   compilation, array loads, holds/violated, and evaluation errors.
 //!
-//! Every (VC, state) pair must agree exactly between the compiled scalar
-//! engine and the tree interpreter (`Vacuous`/`Holds`/`Violated`, and
-//! errors must pair with errors). Each enumerated VC chunk is additionally
-//! screened through `find_counterexample` (staged, kill-ordered, SoA
-//! batched — including the lane-uniform offset fast path) against
+//! Every (VC, state) pair must agree exactly between the batched engine
+//! (through its one-lane `CompiledVcSet::check`) and the tree interpreter
+//! (`Vacuous`/`Holds`/`Violated`, and errors must pair with errors). Each
+//! enumerated VC chunk is additionally screened through
+//! `find_counterexample` (staged, SoA batched — including the lane-uniform
+//! offset fast path) against the tree-walking
 //! `find_counterexample_exhaustive`, pinning verdict agreement of the whole
 //! adaptive machinery on the same enumerated programs.
 
@@ -155,7 +156,7 @@ fn check_set(session: &CheckSession, vcs: &[Vc], check: &mut CheckReport, outcom
     }
 
     // The same enumerated set through the full adaptive screen (SoA batch,
-    // kill ordering, escalation) against the exhaustive reference scan.
+    // escalation) against the exhaustive tree-walking reference scan.
     let adaptive = session.find_counterexample(vcs);
     let exhaustive = session.find_counterexample_exhaustive(vcs);
     let agree = matches!(

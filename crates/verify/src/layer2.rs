@@ -354,7 +354,7 @@ impl DiffOracle for CompiledProving {
     }
 }
 
-/// The staged, kill-ordered, batched screen vs the exhaustive reference
+/// The staged, batched screen vs the exhaustive tree-walking reference
 /// scan — verdict (presence/absence/error) agreement.
 struct AdaptiveScreen;
 
@@ -378,7 +378,7 @@ impl DiffOracle for AdaptiveScreen {
                 kernel.clone(),
             );
             let families = vc_families(&kernel, &nest);
-            // Two rounds: the second runs under kill-count-warmed ordering.
+            // Two rounds: the second runs on the cached captured states.
             for round in 0..2 {
                 for (family, vcs) in &families {
                     check.cases += 1;
