@@ -700,7 +700,8 @@ pub mod parallel {
 
     /// Applies `f` to every item, in parallel across `threads` workers, and
     /// returns the results in input order. Falls back to a sequential map
-    /// when `threads <= 1` or there is at most one item.
+    /// when `threads <= 1` or there is at most one item. The calling thread
+    /// is one of the workers, so a call spawns `threads - 1` threads.
     pub fn map<T: Sync, R: Send>(
         items: &[T],
         threads: usize,
@@ -712,17 +713,19 @@ pub mod parallel {
         }
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= items.len() {
-                        break;
-                    }
-                    let r = f(&items[k]);
-                    results.lock().expect("result vector poisoned").push((k, r));
-                });
+        let work = || loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= items.len() {
+                break;
             }
+            let r = f(&items[k]);
+            results.lock().expect("result vector poisoned").push((k, r));
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(work);
+            }
+            work();
         });
         let mut results = results.into_inner().expect("result vector poisoned");
         results.sort_by_key(|(k, _)| *k);
@@ -735,7 +738,8 @@ pub mod parallel {
     /// what keeps a parallelized CEGIS scan deterministic.
     ///
     /// Workers skip indices above the best success seen so far, so the extra
-    /// work past the winner stays bounded.
+    /// work past the winner stays bounded. As in [`map`], the calling thread
+    /// is one of the workers.
     pub fn find_first<T: Sync, R: Send>(
         items: &[T],
         threads: usize,
@@ -751,23 +755,25 @@ pub mod parallel {
         let next = AtomicUsize::new(0);
         let best = AtomicUsize::new(usize::MAX);
         let found: Mutex<Option<(usize, R)>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= items.len() || k > best.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if let Some(r) = f(k, &items[k]) {
-                        best.fetch_min(k, Ordering::AcqRel);
-                        let mut slot = found.lock().expect("result slot poisoned");
-                        if slot.as_ref().map(|(j, _)| k < *j).unwrap_or(true) {
-                            *slot = Some((k, r));
-                        }
-                        break;
-                    }
-                });
+        let work = || loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= items.len() || k > best.load(Ordering::Acquire) {
+                break;
             }
+            if let Some(r) = f(k, &items[k]) {
+                best.fetch_min(k, Ordering::AcqRel);
+                let mut slot = found.lock().expect("result slot poisoned");
+                if slot.as_ref().map(|(j, _)| k < *j).unwrap_or(true) {
+                    *slot = Some((k, r));
+                }
+                break;
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(work);
+            }
+            work();
         });
         found.into_inner().expect("result slot poisoned")
     }

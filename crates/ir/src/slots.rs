@@ -729,6 +729,13 @@ impl Program {
     /// fails is cleared from the returned mask with its error recorded in
     /// `errs[lane]` (which must be `None` for every active lane on entry).
     ///
+    /// Lane-invariant ops compute once and fill the whole row: integer and
+    /// data arithmetic over uniform registers, constants, and loads at an
+    /// in-bounds lane-invariant offset from a payload every active lane
+    /// shares ([`SlotBatch::shared_payload`]). Such ops cannot fail, so
+    /// every op that can fail still runs per lane and errors keep their
+    /// per-lane order.
+    ///
     /// Only jump-free programs can be batched — check
     /// [`straight_line`](Self::straight_line) first and fall back to
     /// per-lane scalar runs otherwise.
@@ -846,6 +853,15 @@ impl Program {
                 Op::ILoad { dst, arr, idx, n } => {
                     let d = dst as usize * lanes;
                     let shared = sc.shared_offset(batch, arr, idx, n, active);
+                    if let Some(v) = shared
+                        .flatten()
+                        .zip(batch.shared_payload(arr, active))
+                        .and_then(|(o, a)| a.data[o].as_index())
+                    {
+                        sc.iregs[d..d + lanes].fill(v);
+                        sc.iuni[dst as usize] = true;
+                        continue;
+                    }
                     for lane in lanes_in(active) {
                         let Some(a) = batch.array(arr, lane) else {
                             fail(errs, &mut active, lane, EvalErr::UnboundArray(arr));
@@ -873,9 +889,8 @@ impl Program {
                     sc.iuni[dst as usize] = false;
                 }
                 Op::DConst { dst, k } => {
-                    let d = dst as usize * lanes;
                     let v = sc.pool[k as usize].clone();
-                    sc.dregs[d..d + lanes].fill(v);
+                    sc.fill_dreg(dst, v);
                 }
                 Op::DScalarOrReg { dst, slot, src } => {
                     let (d, s) = (dst as usize * lanes, src as usize * lanes);
@@ -885,9 +900,11 @@ impl Program {
                             None => V::from_const(sc.iregs[s + lane] as f64),
                         };
                     }
+                    sc.duni[dst as usize] = false;
                 }
                 Op::DScalar { dst, slot } => {
                     let d = dst as usize * lanes;
+                    sc.duni[dst as usize] = false;
                     for lane in lanes_in(active) {
                         match batch.real(slot, lane) {
                             Some(v) => sc.dregs[d + lane] = v.clone(),
@@ -902,27 +919,48 @@ impl Program {
                 }
                 Op::DCopy { dst, src } => {
                     let (d, s) = (dst as usize * lanes, src as usize * lanes);
-                    for lane in lanes_in(active) {
-                        sc.dregs[d + lane] = sc.dregs[s + lane].clone();
+                    if sc.duni[src as usize] {
+                        let v = sc.dregs[s].clone();
+                        sc.fill_dreg(dst, v);
+                    } else {
+                        for lane in lanes_in(active) {
+                            sc.dregs[d + lane] = sc.dregs[s + lane].clone();
+                        }
+                        sc.duni[dst as usize] = false;
                     }
                 }
                 Op::DBin { op, dst, a, b } => {
                     let (d, x, y) = (dst as usize * lanes, a as usize * lanes, b as usize * lanes);
-                    for lane in lanes_in(active) {
-                        let v = {
-                            let (l, r) = (&sc.dregs[x + lane], &sc.dregs[y + lane]);
-                            match op {
-                                BinOp::Add => l.add(r),
-                                BinOp::Sub => l.sub(r),
-                                BinOp::Mul => l.mul(r),
-                                BinOp::Div => l.div(r),
-                            }
-                        };
-                        sc.dregs[d + lane] = v;
+                    let dbin = |l: &V, r: &V| match op {
+                        BinOp::Add => l.add(r),
+                        BinOp::Sub => l.sub(r),
+                        BinOp::Mul => l.mul(r),
+                        BinOp::Div => l.div(r),
+                    };
+                    if sc.duni[a as usize] && sc.duni[b as usize] {
+                        let v = dbin(&sc.dregs[x], &sc.dregs[y]);
+                        sc.fill_dreg(dst, v);
+                    } else {
+                        for lane in lanes_in(active) {
+                            let v = dbin(&sc.dregs[x + lane], &sc.dregs[y + lane]);
+                            sc.dregs[d + lane] = v;
+                        }
+                        sc.duni[dst as usize] = false;
                     }
                 }
                 Op::DCall { f, dst, argv, argc } => {
                     let d = dst as usize * lanes;
+                    let args = argv as usize..(argv + argc) as usize;
+                    if args.clone().all(|r| sc.duni[r]) {
+                        sc.callbuf.clear();
+                        for r in args {
+                            sc.callbuf.push(sc.dregs[r * lanes].clone());
+                        }
+                        let v = V::apply(&set.funcs[f as usize], &sc.callbuf);
+                        sc.fill_dreg(dst, v);
+                        continue;
+                    }
+                    sc.duni[dst as usize] = false;
                     for lane in lanes_in(active) {
                         sc.callbuf.clear();
                         for j in 0..argc as usize {
@@ -936,6 +974,12 @@ impl Program {
                 Op::DLoad { dst, arr, idx, n } => {
                     let d = dst as usize * lanes;
                     let shared = sc.shared_offset(batch, arr, idx, n, active);
+                    if let Some((o, a)) = shared.flatten().zip(batch.shared_payload(arr, active)) {
+                        let v = a.data[o].clone();
+                        sc.fill_dreg(dst, v);
+                        continue;
+                    }
+                    sc.duni[dst as usize] = false;
                     for lane in lanes_in(active) {
                         let Some(a) = batch.array(arr, lane) else {
                             fail(errs, &mut active, lane, EvalErr::UnboundArray(arr));
@@ -1042,6 +1086,13 @@ pub struct SlotBatch<'a, V> {
     /// Per array slot: `true` when every bound lane's array has identical
     /// dimension bounds, so one flat offset is valid for every lane.
     dims_uniform: Vec<bool>,
+    /// Per array slot: which lanes bind an array.
+    array_bound: Vec<u64>,
+    /// Per array slot: `true` when every bound lane binds the *same* payload
+    /// (pointer-equal `ArrayData`, as the states of one capture share every
+    /// array the kernel never writes), so a load at a lane-invariant offset
+    /// reads one value for every lane.
+    payload_uniform: Vec<bool>,
 }
 
 impl<'a, V: DataValue> SlotBatch<'a, V> {
@@ -1071,6 +1122,8 @@ impl<'a, V: DataValue> SlotBatch<'a, V> {
             reals: vec![None; n_scalars * lanes],
             arrays: vec![None; n_arrays * lanes],
             dims_uniform: vec![false; n_arrays],
+            array_bound: vec![0; n_arrays],
+            payload_uniform: vec![false; n_arrays],
         };
         for (lane, st) in states.iter().enumerate() {
             let Some(st) = st else { continue };
@@ -1088,6 +1141,7 @@ impl<'a, V: DataValue> SlotBatch<'a, V> {
             for (slot, cell) in st.arrays.iter().enumerate() {
                 if let Some(arr) = cell {
                     out.arrays[slot * lanes + lane] = Some(arr.as_ref());
+                    out.array_bound[slot] |= 1 << lane;
                 }
             }
         }
@@ -1095,11 +1149,14 @@ impl<'a, V: DataValue> SlotBatch<'a, V> {
             let mut bound = out.arrays[slot * lanes..(slot + 1) * lanes]
                 .iter()
                 .flatten();
-            let first = bound.next();
-            out.dims_uniform[slot] = match first {
-                Some(a) => bound.all(|b| b.dims == a.dims),
-                None => false,
-            };
+            let Some(first) = bound.next() else { continue };
+            let (mut dims, mut payload) = (true, true);
+            for b in bound {
+                payload &= std::ptr::eq(*first, *b);
+                dims &= b.dims == first.dims;
+            }
+            out.dims_uniform[slot] = dims;
+            out.payload_uniform[slot] = payload;
         }
         out
     }
@@ -1146,6 +1203,19 @@ impl<'a, V: DataValue> SlotBatch<'a, V> {
         let s = slot as usize;
         s < self.n_arrays && self.dims_uniform[s]
     }
+
+    /// The one payload every lane in `active` binds for array `slot`, when
+    /// all of them bind it and every bound lane shares the same payload —
+    /// a load from it at a lane-invariant offset then yields one value for
+    /// every lane. `None` when some active lane is unbound or two lanes
+    /// bind different payloads.
+    pub fn shared_payload(&self, slot: u32, active: u64) -> Option<&'a ArrayData<V>> {
+        let s = slot as usize;
+        if s >= self.n_arrays || !self.payload_uniform[s] || active & !self.array_bound[s] != 0 {
+            return None;
+        }
+        self.arrays[s * self.lanes + active.trailing_zeros() as usize]
+    }
 }
 
 /// Reusable register banks for batched program execution: the lane-strided
@@ -1164,6 +1234,12 @@ pub struct BatchScratch<V> {
     /// of which fill whole rows). Lets lane-invariant arithmetic run once
     /// and lane-invariant array offsets be resolved once per batch.
     iuni: Vec<bool>,
+    /// Per data register: `true` when every lane holds the same value
+    /// (constants, loads at a lane-invariant offset from a payload shared by
+    /// every lane, and copies/arithmetic/calls over uniform operands), so a
+    /// stencil right-hand side over read-only arrays is computed once per
+    /// quantifier point instead of once per lane.
+    duni: Vec<bool>,
     pool: Vec<V>,
     callbuf: Vec<V>,
     lanes: usize,
@@ -1178,6 +1254,7 @@ impl<V: DataValue> BatchScratch<V> {
             dregs: Vec::new(),
             bregs: Vec::new(),
             iuni: Vec::new(),
+            duni: Vec::new(),
             pool: set.pool.iter().map(|&c| V::from_const(c)).collect(),
             callbuf: Vec::new(),
             lanes: 0,
@@ -1206,6 +1283,9 @@ impl<V: DataValue> BatchScratch<V> {
         }
         if self.iuni.len() < prog.iregs as usize {
             self.iuni.resize(prog.iregs as usize, false);
+        }
+        if self.duni.len() < prog.dregs as usize {
+            self.duni.resize(prog.dregs as usize, false);
         }
     }
 
@@ -1238,6 +1318,13 @@ impl<V: DataValue> BatchScratch<V> {
     /// (see [`pin_ireg`](Self::pin_ireg)).
     pub fn ireg_uniform(&self, r: u16) -> bool {
         self.iuni[r as usize]
+    }
+
+    /// Writes `v` into data register `r` of every lane and marks it uniform.
+    fn fill_dreg(&mut self, r: u16, v: V) {
+        let base = r as usize * self.lanes;
+        self.dregs[base..base + self.lanes].fill(v);
+        self.duni[r as usize] = true;
     }
 
     /// Resolves a lane-invariant flat offset for a load of rank `n` from

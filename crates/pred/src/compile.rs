@@ -899,7 +899,11 @@ mod tests {
         // Correct, violated, and erroring postconditions, each checked on a
         // batch mixing the initial and final states: every lane's outcome
         // must equal the tree interpreter's, and its exact error must equal
-        // the one-lane call's.
+        // the one-lane call's. The same lanes are checked twice: deep-copied
+        // (every lane owns its arrays) and shared (lanes cloned from one
+        // `SlotState`, with `b` one payload for all lanes as in a capture),
+        // which drives the lane-uniform load path; both batches must report
+        // identical per-lane outcomes and errors.
         let (kernel, mut state) = example();
         let nest = analyze_loop_nest(&kernel).unwrap();
         let initial = state.clone();
@@ -931,43 +935,62 @@ mod tests {
             let mut sc = compiled.scratch::<f64>();
             let mut bsc = compiled.batch_scratch::<f64>();
             let oracle = [&initial, &state, &initial, &state];
-            let states: Vec<SlotState<f64>> = oracle
+            let deep: Vec<SlotState<f64>> = oracle
                 .iter()
                 .map(|s| SlotState::from_state(s, &map))
                 .collect();
-            let refs: Vec<&SlotState<f64>> = states.iter().collect();
+            let b = map.array("b");
+            let first = SlotState::from_state(&initial, &map);
+            let mut last = SlotState::from_state(&state, &map);
+            last.arrays[b as usize] = first.arrays[b as usize].clone();
+            let shared = vec![first.clone(), last.clone(), first, last];
+            let shared_refs: Vec<Option<&SlotState<f64>>> = shared.iter().map(Some).collect();
+            assert!(
+                SlotBatch::transpose(&shared_refs)
+                    .shared_payload(b, lane_mask(shared.len()))
+                    .is_some(),
+                "every shared lane must bind one payload for b"
+            );
             // Lanes 0/2 and 1/3 carry identical states under shared keys, so
             // the hypothesis memo's cross-lane and cross-VC reuse is on the
             // differential path too.
             let keys = [0usize, 1, 0, 1];
-            let mut memo = HypMemo::new();
-            let mut out = Vec::new();
-            for (k, vc) in vcs.iter().enumerate() {
-                compiled.check_batch(
-                    k,
-                    &refs,
-                    &keys,
-                    &mut sc,
-                    &mut bsc,
-                    &mut memo,
-                    &Budget::unlimited(),
-                    &mut out,
-                );
-                assert_eq!(out.len(), refs.len());
-                for (lane, got) in out.iter().enumerate() {
-                    let interp = check_vc_on_state(vc, oracle[lane]);
-                    let one_lane = compiled.check(k, refs[lane], &mut sc);
-                    match (interp, got) {
-                        (Ok(a), Ok(b)) => assert_eq!(a, *b, "lane {lane} on {}", vc.name),
-                        (Err(_), Err(b)) => {
-                            assert_eq!(one_lane, Err(*b), "lane {lane} on {}", vc.name)
-                        }
-                        (a, b) => {
-                            panic!("divergence lane {lane} on {}: {a:?} vs {b:?}", vc.name)
+            let mut results = Vec::new();
+            for lanes in [&deep, &shared] {
+                let refs: Vec<&SlotState<f64>> = lanes.iter().collect();
+                let mut memo = HypMemo::new();
+                let mut per_vc = Vec::new();
+                for (k, vc) in vcs.iter().enumerate() {
+                    let mut out = Vec::new();
+                    compiled.check_batch(
+                        k,
+                        &refs,
+                        &keys,
+                        &mut sc,
+                        &mut bsc,
+                        &mut memo,
+                        &Budget::unlimited(),
+                        &mut out,
+                    );
+                    assert_eq!(out.len(), refs.len());
+                    for (lane, got) in out.iter().enumerate() {
+                        let interp = check_vc_on_state(vc, oracle[lane]);
+                        let one_lane = compiled.check(k, refs[lane], &mut sc);
+                        match (interp, got) {
+                            (Ok(a), Ok(b)) => assert_eq!(a, *b, "lane {lane} on {}", vc.name),
+                            (Err(_), Err(b)) => {
+                                assert_eq!(one_lane, Err(*b), "lane {lane} on {}", vc.name)
+                            }
+                            (a, b) => {
+                                panic!("divergence lane {lane} on {}: {a:?} vs {b:?}", vc.name)
+                            }
                         }
                     }
+                    per_vc.push(out);
                 }
+                results.push(per_vc);
             }
+            assert_eq!(results[0], results[1], "deep-copied vs shared lanes");
         }
     }
 

@@ -85,9 +85,9 @@ impl CacheKey {
 /// parallelism is excluded — see below) separates cache entries.
 ///
 /// `parallelism` fields are masked out first: thread counts change wall
-/// time, never results (the parallel CEGIS scan is deterministic by
-/// construction), so reports are shareable across differently-threaded
-/// hosts.
+/// time, never results (CEGIS screens candidates in index order and the
+/// parallel bounded scan is deterministic by construction), so reports are
+/// shareable across differently-threaded hosts.
 pub fn config_digest(config: &SynthesisConfig) -> u64 {
     let mut canonical = config.clone();
     canonical.parallelism = 1;

@@ -307,8 +307,10 @@ impl CheckSession {
     }
 
     /// Cumulative wall time spent scanning states against VCs, in
-    /// nanoseconds (summed across candidates; on multi-core hosts
-    /// concurrent candidate scans accumulate their individual times).
+    /// nanoseconds, summed over [`find_counterexample`] calls. CEGIS makes
+    /// those calls one after another, so the sum stays within wall time.
+    ///
+    /// [`find_counterexample`]: Self::find_counterexample
     pub fn check_ns(&self) -> u64 {
         self.check_ns.load(Ordering::Relaxed)
     }

@@ -1,5 +1,6 @@
-//! Observability contract tests: span well-formedness under parallel CEGIS,
-//! counter-metric determinism, and the disarmed recorder's no-op guarantee.
+//! Observability contract tests: span well-formedness under a multi-threaded
+//! lift, counter-metric determinism, and the disarmed recorder's no-op
+//! guarantee.
 //!
 //! Lives in its own integration-test binary (= its own process) because the
 //! recorder rings, armed flag, and metric registry are process-global: any
@@ -29,19 +30,21 @@ impl LiftCache for NullCache {
 /// observability state.
 static GATE: Mutex<()> = Mutex::new(());
 
-/// Arming the recorder during a lift with parallel CEGIS workers must
-/// produce a well-formed trace on every thread: Open/Close strictly nested,
-/// nothing dropped, and spans present for the pipeline stages the lift
-/// actually exercised.
+/// Arming the recorder during a lift whose CEGIS candidate loop and bounded
+/// screens run on worker threads must produce a well-formed trace on every
+/// thread: Open/Close strictly nested, nothing dropped, and spans present
+/// for the pipeline stages the lift actually exercised.
 #[test]
 fn spans_are_well_formed_under_parallel_cegis() {
     let _gate = GATE.lock().unwrap_or_else(|p| p.into_inner());
     obs::recorder::reset();
     obs::arm();
     let mut stng = Stng::new().with_cache(Arc::new(NullCache));
-    // Force >1 worker even on a single-core machine so candidate spans land
-    // on threads other than the one that opened `lift.kernel`.
+    // Force >1 worker even on a single-core machine so candidate, capture
+    // and scan spans land on threads other than the one that opened
+    // `lift.kernel`.
     stng.config.parallelism = 4;
+    stng.config.bounded.parallelism = 4;
     let report = stng.lift_source(fixtures::RUNNING_EXAMPLE).unwrap();
     obs::disarm();
     assert_eq!(report.translated(), 1);

@@ -5,8 +5,6 @@ use crate::control::ControlBits;
 use crate::invariant::invariant_candidates;
 use crate::postcond::PostcondSynthesizer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use stng_intern::guard::{fault, Budget, DegradeReason};
 use stng_intern::Symbol;
@@ -76,10 +74,13 @@ pub struct SynthesisConfig {
     pub require_sound_proof: bool,
     /// Grid sizes used for the extended bounded validation fallback.
     pub validation_sizes: Vec<i64>,
-    /// Worker threads for checking independent CEGIS candidates (and
-    /// validation sizes) concurrently. Candidate checks are pure functions
-    /// over shared immutable data; the accepted candidate is deterministic
-    /// (lowest index) regardless of the thread count.
+    /// Worker threads for running the extended bounded-validation sizes
+    /// concurrently; above 1, the CEGIS candidate loop also runs on a
+    /// worker thread of its own instead of the caller's. Candidates are
+    /// screened one at a time in index order either way (the bounded
+    /// checker parallelizes within a screen, see
+    /// [`BoundedChecker::parallelism`]), so the accepted candidate and the
+    /// screening counters do not depend on the thread count.
     pub parallelism: usize,
 }
 
@@ -103,9 +104,9 @@ impl Default for SynthesisConfig {
 /// the capture-reuse counter the benchmarks assert on.
 ///
 /// Durations are nanoseconds (exact integers, so reports survive cache
-/// round trips bit-for-bit). `bounded_ns` accumulates across candidates —
-/// on a multi-core host concurrent candidate scans sum their individual
-/// times, so it can exceed wall clock there.
+/// round trips bit-for-bit). `bounded_ns` accumulates across candidates,
+/// which are screened one after another, so it never exceeds the wall
+/// time of the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseTimings {
     /// Time spent capturing reachable states (once per CEGIS session).
@@ -136,8 +137,9 @@ pub struct PhaseTimings {
     /// Screened candidates that survived every tier and went to the prover.
     pub survivors: u64,
     /// Batched SoA program sweeps executed (one per ≤64-state chunk per VC
-    /// per unit actually scanned). Schedule-dependent under multi-threaded
-    /// screening — a profiling signal, excluded from canonical reports.
+    /// per unit actually scanned). Schedule-dependent when the bounded
+    /// checker scans units on several threads — a profiling signal,
+    /// excluded from canonical reports.
     pub batch_scans: u64,
 }
 
@@ -308,25 +310,14 @@ pub fn synthesize_governed_with_phases(
         if let Ok(inv_candidates) = invariant_candidates(kernel, &nest, &post, &candidate.run) {
             control_bits.merge(&inv_candidates.control_bits);
             peak_candidates = inv_candidates.candidates.len();
-            // Screen candidates concurrently: each check (VC generation,
-            // bounded screen, sound proof) is a pure function of shared
-            // immutable inputs. `find_first` keeps sequential semantics —
-            // the lowest-index candidate that proves sound wins. The
-            // bounded checker's own worker count is divided by the number
-            // of candidates in flight so the two levels of parallelism
-            // never multiply past the configured budget.
-            let in_flight = config.parallelism.clamp(1, peak_candidates);
-            let bounded = BoundedChecker {
-                parallelism: (config.bounded.parallelism / in_flight).max(1),
-                ..config.bounded.clone()
-            };
             // One session for the whole candidate set: reachable states
             // depend only on the kernel and the (size, trial) seeds, so
             // they are captured once and scanned per candidate; only
             // the candidate-dependent VCs are recompiled between
             // iterations. Capture errors reject every candidate, as
             // they would have per candidate before.
-            let session = CheckSession::with_budget(bounded, kernel.clone(), budget.clone());
+            let session =
+                CheckSession::with_budget(config.bounded.clone(), kernel.clone(), budget.clone());
             // One prover session for the whole candidate set: settled
             // case-split subtrees are shared across candidates (most VCs
             // — loop bounds, frame conditions — are identical from one
@@ -334,21 +325,19 @@ pub fn synthesize_governed_with_phases(
             // attempts nor the governed budget.
             let prover_session = ProverSession::new();
             let core_hits_before = stng_solve::lin::core_hit_count();
-            let prove_ns = AtomicU64::new(0);
-            // A caught worker panic is recorded here and halts the scan;
-            // the first panic message wins (candidates race, but the
-            // kernel fails with Crashed either way).
-            let panicked: Mutex<Option<String>> = Mutex::new(None);
-            let halt = AtomicBool::new(false);
-            let accepted = stng_intern::parallel::find_first(
-                &inv_candidates.candidates,
-                config.parallelism,
-                |k, invariants| {
-                    // First-success semantics under cancellation: a
-                    // tripped budget (or a crashed sibling) skips the
-                    // remaining candidates instead of screening them.
-                    if halt.load(Ordering::Relaxed) || budget.exhausted().is_some() {
-                        return None;
+            let screen = || {
+                let mut prove_ns = 0u64;
+                let mut panicked = None;
+                let mut accepted = None;
+                // Candidates are screened one at a time in index order, so the
+                // lowest-index candidate that proves sound wins and no candidate
+                // past it is screened; the bounded checker spreads each screen
+                // over its own worker threads.
+                for (k, invariants) in inv_candidates.candidates.iter().enumerate() {
+                    // A tripped budget skips the remaining candidates instead of
+                    // screening them.
+                    if budget.exhausted().is_some() {
+                        break;
                     }
                     let mut candidate_span = span(&names::CEGIS_CANDIDATE);
                     candidate_span.arg(k as u64);
@@ -383,22 +372,46 @@ pub fn synthesize_governed_with_phases(
                                 .prover
                                 .verify_all_session(&vcs, budget, &prover_session);
                         drop(prove_span);
-                        prove_ns.fetch_add(proving.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        prove_ns += proving.elapsed().as_nanos() as u64;
                         verdict.is_valid().then_some(attempts)
                     }));
                     match checked {
-                        Ok(result) => result,
+                        Ok(Some(attempts)) => {
+                            accepted = Some((k, attempts));
+                            break;
+                        }
+                        Ok(None) => {}
+                        // A caught panic skips the remaining candidates and
+                        // fails the kernel as Crashed.
                         Err(payload) => {
-                            let msg = panic_message(payload.as_ref());
                             event(&names::WORKER_CRASHED, None, k as u64);
-                            let mut slot = panicked.lock().unwrap();
-                            slot.get_or_insert(msg);
-                            halt.store(true, Ordering::Relaxed);
-                            None
+                            panicked = Some(panic_message(payload.as_ref()));
+                            break;
                         }
                     }
-                },
-            );
+                }
+                (prove_ns, panicked, accepted)
+            };
+            // With more than one CEGIS thread allowed, the candidate loop
+            // runs on a scoped thread of its own: the allocation churn of
+            // screening and proving (VCs, compiled programs, prover
+            // contexts, interned obligations that live until the next
+            // sweep) then lands in that thread's allocator arena instead of
+            // fragmenting the caller's heap, which made later cache-hit
+            // lifts on a long-lived caller thread 10–25% slower
+            // (`stream_warm` benchmark). With one thread it runs inline: a
+            // fresh thread's arena regrows its heap for every kernel, which
+            // made serial lifts about 25% slower.
+            let (prove_ns, panicked, accepted) = if config.parallelism > 1 {
+                std::thread::scope(|scope| {
+                    scope
+                        .spawn(screen)
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+            } else {
+                screen()
+            };
             // Per-kernel aggregation goes through the metrics registry:
             // fill a `MetricSet` from the session counters, derive the
             // `PhaseTimings` façade from it, and flush it into the
@@ -411,7 +424,7 @@ pub fn synthesize_governed_with_phases(
             kernel_metrics.add(ids.screened, session.screened());
             kernel_metrics.add(ids.survivors, session.survivors());
             kernel_metrics.add(ids.batch_scans, session.batch_scans());
-            kernel_metrics.add(ids.prove_ns, prove_ns.into_inner());
+            kernel_metrics.add(ids.prove_ns, prove_ns);
             kernel_metrics.add(ids.oblig_hits, prover_session.hits());
             kernel_metrics.add(ids.oblig_misses, prover_session.misses());
             kernel_metrics.add(
@@ -438,7 +451,7 @@ pub fn synthesize_governed_with_phases(
                     phase,
                 );
             }
-            if let Some(panic) = panicked.into_inner().unwrap() {
+            if let Some(panic) = panicked {
                 return (Err(SynthesisFailure::Crashed { panic }), phase);
             }
             iterations = peak_candidates;
@@ -771,6 +784,30 @@ end procedure
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn candidates_are_screened_in_order_without_speculation() {
+        // heat27 enumerates several invariant candidates and candidate 0
+        // proves sound. With two CEGIS threads the screen must still stop at
+        // the winner: every screened candidate is a CEGIS iteration, and only
+        // the winner survives the bounded screen.
+        let heat27 = stng_corpus::all_kernels()
+            .into_iter()
+            .find(|k| k.name == "heat27")
+            .expect("heat27 is in the corpus");
+        let kernel = heat27.kernel().unwrap();
+        let config = SynthesisConfig {
+            parallelism: 2,
+            ..SynthesisConfig::default()
+        };
+        let (result, phase) =
+            synthesize_governed_with_phases(&kernel, &config, &Budget::unlimited());
+        let outcome = result.unwrap();
+        assert!(outcome.soundly_verified);
+        assert!(outcome.peak_candidates > 1, "{}", outcome.peak_candidates);
+        assert_eq!(phase.screened, outcome.cegis_iterations as u64);
+        assert_eq!(phase.survivors, 1);
     }
 
     #[test]

@@ -15,11 +15,19 @@
 //!   loop compilation in the VC prelude);
 //! * a quantified family — `∀v ∈ [0,n]: a[v] = a[v+shift]` for shifts
 //!   {0, 900} plus a coefficient-bumped variant, exercising quantifier
-//!   compilation, array loads, holds/violated, and evaluation errors.
+//!   compilation, array loads, holds/violated, and evaluation errors — and
+//!   the same three shapes over the read-only array, `b[v] = b[v+shift]`.
+//!   Every state of one capture unit shares `b`'s payload, so batches take
+//!   the lane-uniform data path on the right-hand side (one load and one
+//!   add per quantifier point for all lanes) while the left-hand cell is
+//!   still read per lane, including at the out-of-bounds shared offset that
+//!   must fail lane by lane.
 //!
 //! Every (VC, state) pair must agree exactly between the batched engine
 //! (through its one-lane `CompiledVcSet::check`) and the tree interpreter
-//! (`Vacuous`/`Holds`/`Violated`, and errors must pair with errors). Each
+//! (`Vacuous`/`Holds`/`Violated`, and errors must pair with errors), and
+//! the same engine run over whole-unit batches of up to 64 lanes must give
+//! each lane the one-lane call's exact outcome or error. Each
 //! enumerated VC chunk is additionally screened through
 //! `find_counterexample` (staged, SoA batched — including the lane-uniform
 //! offset fast path) against the tree-walking
@@ -27,9 +35,12 @@
 //! adaptive machinery on the same enumerated programs.
 
 use crate::report::CheckReport;
+use stng_intern::guard::Budget;
 use stng_ir::ir::{CmpOp, IrExpr};
 use stng_ir::lower::kernel_from_source;
-use stng_pred::compile::CompiledVcSet;
+use stng_ir::slots::{SlotState, SLOT_BATCH_MAX_LANES};
+use stng_ir::value::ModInt;
+use stng_pred::compile::{CompiledVcSet, HypMemo};
 use stng_pred::eval::{check_vc_on_state, VcOutcome};
 use stng_pred::lang::{OutEq, QuantBound, QuantClause};
 use stng_pred::vcgen::{Vc, VcScope};
@@ -82,9 +93,10 @@ fn comparisons() -> Vec<IrExpr> {
     out
 }
 
-/// The quantified-conclusion family over the kernel's own arrays.
+/// The quantified-conclusion family over each of the kernel's own arrays:
+/// the output `a` and the read-only input `b`.
 fn quant_conclusions() -> Vec<(String, Pred)> {
-    let clause = |shift: i64, bump: bool| {
+    let clause = |array: &str, shift: i64, bump: bool| {
         let v = IrExpr::var("qv0");
         let read = if shift == 0 {
             v.clone()
@@ -92,7 +104,7 @@ fn quant_conclusions() -> Vec<(String, Pred)> {
             IrExpr::add(v.clone(), IrExpr::Int(shift))
         };
         let mut rhs = IrExpr::Load {
-            array: "a".into(),
+            array: array.into(),
             indices: vec![read],
         };
         if bump {
@@ -105,16 +117,19 @@ fn quant_conclusions() -> Vec<(String, Pred)> {
                 IrExpr::var("n"),
             )],
             eq: OutEq {
-                array: "a".into(),
+                array: array.into(),
                 indices: vec![v],
                 rhs,
             },
         })
     };
     vec![
-        ("holds".into(), clause(0, false)),
-        ("violated".into(), clause(0, true)),
-        ("erroring".into(), clause(900, false)),
+        ("holds".into(), clause("a", 0, false)),
+        ("violated".into(), clause("a", 0, true)),
+        ("erroring".into(), clause("a", 900, false)),
+        ("input".into(), clause("b", 0, false)),
+        ("input-bumped".into(), clause("b", 0, true)),
+        ("input-erroring".into(), clause("b", 900, false)),
     ]
 }
 
@@ -128,15 +143,54 @@ fn check_set(session: &CheckSession, vcs: &[Vc], check: &mut CheckReport, outcom
             return;
         }
     };
-    let mut sc = compiled.scratch::<stng_ir::value::ModInt>();
+    let mut sc = compiled.scratch::<ModInt>();
+    let mut bsc = compiled.batch_scratch::<ModInt>();
+    let mut out = Vec::new();
     for unit in session.captured_units() {
         let unit = unit.as_ref().expect("fixed kernel capture succeeds");
-        for (origin, state) in &unit.states {
+        // Whole-unit batches, as the screen runs them: `batched[k][s]` is
+        // VC `k` on state `s`.
+        let mut batched = vec![Vec::with_capacity(unit.states.len()); vcs.len()];
+        let keys: Vec<usize> = (0..unit.states.len()).collect();
+        for (chunk, keys) in unit
+            .states
+            .chunks(SLOT_BATCH_MAX_LANES)
+            .zip(keys.chunks(SLOT_BATCH_MAX_LANES))
+        {
+            let lanes: Vec<&SlotState<ModInt>> = chunk.iter().map(|(_, st)| st).collect();
+            let mut memo = HypMemo::new();
+            for (k, per_state) in batched.iter_mut().enumerate() {
+                compiled.check_batch(
+                    k,
+                    &lanes,
+                    keys,
+                    &mut sc,
+                    &mut bsc,
+                    &mut memo,
+                    &Budget::unlimited(),
+                    &mut out,
+                );
+                per_state.append(&mut out);
+            }
+        }
+        for (s, (origin, state)) in unit.states.iter().enumerate() {
             let oracle_state = state.to_state();
             for (k, vc) in vcs.iter().enumerate() {
                 check.cases += 1;
                 let slow = check_vc_on_state(vc, &oracle_state);
                 let fast = compiled.check(k, state, &mut sc);
+                if batched[k][s] != fast {
+                    check.fail(format!(
+                        "VC '{}' at {origin} (size {}, trial {}): one-lane {fast:?} vs \
+                         {}-lane batch {:?}",
+                        vc.name,
+                        unit.size,
+                        unit.trial,
+                        unit.states.len().min(SLOT_BATCH_MAX_LANES),
+                        batched[k][s]
+                    ));
+                    continue;
+                }
                 match (slow, fast) {
                     (Ok(a), Ok(b)) if a == b => {
                         outcomes[match a {
