@@ -700,8 +700,7 @@ pub mod parallel {
 
     /// Applies `f` to every item, in parallel across `threads` workers, and
     /// returns the results in input order. Falls back to a sequential map
-    /// when `threads <= 1` or there is at most one item. The calling thread
-    /// is one of the workers, so a call spawns `threads - 1` threads.
+    /// when `threads <= 1` or there is at most one item.
     pub fn map<T: Sync, R: Send>(
         items: &[T],
         threads: usize,
@@ -713,19 +712,17 @@ pub mod parallel {
         }
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-        let work = || loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= items.len() {
-                break;
-            }
-            let r = f(&items[k]);
-            results.lock().expect("result vector poisoned").push((k, r));
-        };
         std::thread::scope(|scope| {
-            for _ in 1..threads {
-                scope.spawn(work);
+            for _ in 0..threads {
+                scope.spawn(|| loop {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    if k >= items.len() {
+                        break;
+                    }
+                    let r = f(&items[k]);
+                    results.lock().expect("result vector poisoned").push((k, r));
+                });
             }
-            work();
         });
         let mut results = results.into_inner().expect("result vector poisoned");
         results.sort_by_key(|(k, _)| *k);
@@ -738,8 +735,7 @@ pub mod parallel {
     /// what keeps a parallelized CEGIS scan deterministic.
     ///
     /// Workers skip indices above the best success seen so far, so the extra
-    /// work past the winner stays bounded. As in [`map`], the calling thread
-    /// is one of the workers.
+    /// work past the winner stays bounded.
     pub fn find_first<T: Sync, R: Send>(
         items: &[T],
         threads: usize,
@@ -755,25 +751,23 @@ pub mod parallel {
         let next = AtomicUsize::new(0);
         let best = AtomicUsize::new(usize::MAX);
         let found: Mutex<Option<(usize, R)>> = Mutex::new(None);
-        let work = || loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= items.len() || k > best.load(Ordering::Acquire) {
-                break;
-            }
-            if let Some(r) = f(k, &items[k]) {
-                best.fetch_min(k, Ordering::AcqRel);
-                let mut slot = found.lock().expect("result slot poisoned");
-                if slot.as_ref().map(|(j, _)| k < *j).unwrap_or(true) {
-                    *slot = Some((k, r));
-                }
-                break;
-            }
-        };
         std::thread::scope(|scope| {
-            for _ in 1..threads {
-                scope.spawn(work);
+            for _ in 0..threads {
+                scope.spawn(|| loop {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    if k >= items.len() || k > best.load(Ordering::Acquire) {
+                        break;
+                    }
+                    if let Some(r) = f(k, &items[k]) {
+                        best.fetch_min(k, Ordering::AcqRel);
+                        let mut slot = found.lock().expect("result slot poisoned");
+                        if slot.as_ref().map(|(j, _)| k < *j).unwrap_or(true) {
+                            *slot = Some((k, r));
+                        }
+                        break;
+                    }
+                });
             }
-            work();
         });
         found.into_inner().expect("result slot poisoned")
     }

@@ -1207,11 +1207,18 @@ impl<'a, V: DataValue> SlotBatch<'a, V> {
     /// The one payload every lane in `active` binds for array `slot`, when
     /// all of them bind it and every bound lane shares the same payload —
     /// a load from it at a lane-invariant offset then yields one value for
-    /// every lane. `None` when some active lane is unbound or two lanes
-    /// bind different payloads.
+    /// every lane. `None` when `active` is empty or names a lane past the
+    /// batch, when some active lane is unbound, or when two lanes bind
+    /// different payloads.
     pub fn shared_payload(&self, slot: u32, active: u64) -> Option<&'a ArrayData<V>> {
         let s = slot as usize;
-        if s >= self.n_arrays || !self.payload_uniform[s] || active & !self.array_bound[s] != 0 {
+        // `array_bound` has no bits past the batch's lanes, so the mask test
+        // also rejects out-of-range lanes.
+        if active == 0
+            || s >= self.n_arrays
+            || !self.payload_uniform[s]
+            || active & !self.array_bound[s] != 0
+        {
             return None;
         }
         self.arrays[s * self.lanes + active.trailing_zeros() as usize]
@@ -2247,6 +2254,23 @@ mod tests {
             else_body: vec![],
         };
         assert!(c.compile_stmts(&[stmt]).is_err());
+    }
+
+    #[test]
+    fn shared_payload_needs_a_nonempty_mask_of_bound_lanes() {
+        let (map, ss, _) = map_and_state();
+        let b = map.array("b");
+        let shared = ss.clone();
+        let batch = SlotBatch::transpose(&[Some(&ss), Some(&shared), None]);
+        let payload = ss.array("b").unwrap() as *const ArrayData<f64>;
+        let got = batch.shared_payload(b, 0b011).map(|a| a as *const _);
+        assert_eq!(got, Some(payload));
+        // An empty mask, an unbound lane and a lane past the batch all
+        // have no shared payload.
+        assert!(batch.shared_payload(b, 0).is_none());
+        assert!(batch.shared_payload(b, 0b111).is_none());
+        assert!(batch.shared_payload(b, 0b1011).is_none());
+        assert!(batch.shared_payload(b + 1, 0b011).is_none());
     }
 
     #[test]

@@ -183,9 +183,8 @@ impl Drop for Ring {
 
 /// Global ring registry: rings are `Arc`-held here as well as in the
 /// owner's thread-local, so a scoped worker thread's events survive the
-/// thread (a kernel's CEGIS candidate thread and the bounded checker's and
-/// validation's workers live only for one kernel or one
-/// `parallel::map`/`find_first` call; their traces must not die with
+/// thread (the bounded checker's and validation's workers live only for
+/// one `parallel::map`/`find_first` call; their traces must not die with
 /// them).
 fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
     static RINGS: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();

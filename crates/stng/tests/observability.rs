@@ -30,8 +30,8 @@ impl LiftCache for NullCache {
 /// observability state.
 static GATE: Mutex<()> = Mutex::new(());
 
-/// Arming the recorder during a lift whose CEGIS candidate loop and bounded
-/// screens run on worker threads must produce a well-formed trace on every
+/// Arming the recorder during a lift whose bounded screens and validation
+/// run on worker threads must produce a well-formed trace on every
 /// thread: Open/Close strictly nested, nothing dropped, and spans present
 /// for the pipeline stages the lift actually exercised.
 #[test]
@@ -40,9 +40,8 @@ fn spans_are_well_formed_under_parallel_cegis() {
     obs::recorder::reset();
     obs::arm();
     let mut stng = Stng::new().with_cache(Arc::new(NullCache));
-    // Force >1 worker even on a single-core machine so candidate, capture
-    // and scan spans land on threads other than the one that opened
-    // `lift.kernel`.
+    // Force >1 worker even on a single-core machine so capture and scan
+    // spans land on threads other than the one that opened `lift.kernel`.
     stng.config.parallelism = 4;
     stng.config.bounded.parallelism = 4;
     let report = stng.lift_source(fixtures::RUNNING_EXAMPLE).unwrap();

@@ -75,12 +75,11 @@ pub struct SynthesisConfig {
     /// Grid sizes used for the extended bounded validation fallback.
     pub validation_sizes: Vec<i64>,
     /// Worker threads for running the extended bounded-validation sizes
-    /// concurrently; above 1, the CEGIS candidate loop also runs on a
-    /// worker thread of its own instead of the caller's. Candidates are
-    /// screened one at a time in index order either way (the bounded
-    /// checker parallelizes within a screen, see
-    /// [`BoundedChecker::parallelism`]), so the accepted candidate and the
-    /// screening counters do not depend on the thread count.
+    /// concurrently. CEGIS screens invariant candidates one at a time in
+    /// index order on the calling thread (the bounded checker parallelizes
+    /// within a screen, see [`BoundedChecker::parallelism`]), so the
+    /// accepted candidate and the screening counters do not depend on any
+    /// thread count.
     pub parallelism: usize,
 }
 
@@ -325,93 +324,70 @@ pub fn synthesize_governed_with_phases(
             // attempts nor the governed budget.
             let prover_session = ProverSession::new();
             let core_hits_before = stng_solve::lin::core_hit_count();
-            let screen = || {
-                let mut prove_ns = 0u64;
-                let mut panicked = None;
-                let mut accepted = None;
-                // Candidates are screened one at a time in index order, so the
-                // lowest-index candidate that proves sound wins and no candidate
-                // past it is screened; the bounded checker spreads each screen
-                // over its own worker threads.
-                for (k, invariants) in inv_candidates.candidates.iter().enumerate() {
-                    // A tripped budget skips the remaining candidates instead of
-                    // screening them.
-                    if budget.exhausted().is_some() {
+            let mut prove_ns = 0u64;
+            let mut panicked = None;
+            let mut accepted = None;
+            // Candidates are screened one at a time in index order, so the
+            // lowest-index candidate that proves sound wins and no candidate
+            // past it is screened; the bounded checker spreads each screen
+            // over its own worker threads.
+            for (k, invariants) in inv_candidates.candidates.iter().enumerate() {
+                // A tripped budget skips the remaining candidates instead of
+                // screening them.
+                if budget.exhausted().is_some() {
+                    break;
+                }
+                let mut candidate_span = span(&names::CEGIS_CANDIDATE);
+                candidate_span.arg(k as u64);
+                let checked = catch_unwind(AssertUnwindSafe(|| {
+                    if fault::panic_candidate(&kernel.name) {
+                        event(
+                            &names::FAULT_INJECTED,
+                            Some(Symbol::intern("panic_candidate")),
+                            k as u64,
+                        );
+                        panic!("injected candidate panic");
+                    }
+                    let vcs = generate_vcs(&nest, &kernel.assumptions, invariants, &post);
+                    // Fast screen: bounded checking on reachable states.
+                    match session.find_counterexample(&vcs) {
+                        Ok(None) => {}
+                        Ok(Some(_)) | Err(_) => return None,
+                    }
+                    // Sound check.
+                    if let Some(stall) = fault::prover_stall(&kernel.name) {
+                        event(
+                            &names::FAULT_INJECTED,
+                            Some(Symbol::intern("prover_stall")),
+                            k as u64,
+                        );
+                        std::thread::sleep(stall);
+                    }
+                    let proving = Instant::now();
+                    let prove_span = span(&names::PROVE_SESSION);
+                    let (verdict, attempts) =
+                        config
+                            .prover
+                            .verify_all_session(&vcs, budget, &prover_session);
+                    drop(prove_span);
+                    prove_ns += proving.elapsed().as_nanos() as u64;
+                    verdict.is_valid().then_some(attempts)
+                }));
+                match checked {
+                    Ok(Some(attempts)) => {
+                        accepted = Some((k, attempts));
                         break;
                     }
-                    let mut candidate_span = span(&names::CEGIS_CANDIDATE);
-                    candidate_span.arg(k as u64);
-                    let checked = catch_unwind(AssertUnwindSafe(|| {
-                        if fault::panic_candidate(&kernel.name) {
-                            event(
-                                &names::FAULT_INJECTED,
-                                Some(Symbol::intern("panic_candidate")),
-                                k as u64,
-                            );
-                            panic!("injected candidate panic");
-                        }
-                        let vcs = generate_vcs(&nest, &kernel.assumptions, invariants, &post);
-                        // Fast screen: bounded checking on reachable states.
-                        match session.find_counterexample(&vcs) {
-                            Ok(None) => {}
-                            Ok(Some(_)) | Err(_) => return None,
-                        }
-                        // Sound check.
-                        if let Some(stall) = fault::prover_stall(&kernel.name) {
-                            event(
-                                &names::FAULT_INJECTED,
-                                Some(Symbol::intern("prover_stall")),
-                                k as u64,
-                            );
-                            std::thread::sleep(stall);
-                        }
-                        let proving = Instant::now();
-                        let prove_span = span(&names::PROVE_SESSION);
-                        let (verdict, attempts) =
-                            config
-                                .prover
-                                .verify_all_session(&vcs, budget, &prover_session);
-                        drop(prove_span);
-                        prove_ns += proving.elapsed().as_nanos() as u64;
-                        verdict.is_valid().then_some(attempts)
-                    }));
-                    match checked {
-                        Ok(Some(attempts)) => {
-                            accepted = Some((k, attempts));
-                            break;
-                        }
-                        Ok(None) => {}
-                        // A caught panic skips the remaining candidates and
-                        // fails the kernel as Crashed.
-                        Err(payload) => {
-                            event(&names::WORKER_CRASHED, None, k as u64);
-                            panicked = Some(panic_message(payload.as_ref()));
-                            break;
-                        }
+                    Ok(None) => {}
+                    // A caught panic skips the remaining candidates and
+                    // fails the kernel as Crashed.
+                    Err(payload) => {
+                        event(&names::WORKER_CRASHED, None, k as u64);
+                        panicked = Some(panic_message(payload.as_ref()));
+                        break;
                     }
                 }
-                (prove_ns, panicked, accepted)
-            };
-            // With more than one CEGIS thread allowed, the candidate loop
-            // runs on a scoped thread of its own: the allocation churn of
-            // screening and proving (VCs, compiled programs, prover
-            // contexts, interned obligations that live until the next
-            // sweep) then lands in that thread's allocator arena instead of
-            // fragmenting the caller's heap, which made later cache-hit
-            // lifts on a long-lived caller thread 10–25% slower
-            // (`stream_warm` benchmark). With one thread it runs inline: a
-            // fresh thread's arena regrows its heap for every kernel, which
-            // made serial lifts about 25% slower.
-            let (prove_ns, panicked, accepted) = if config.parallelism > 1 {
-                std::thread::scope(|scope| {
-                    scope
-                        .spawn(screen)
-                        .join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-            } else {
-                screen()
-            };
+            }
             // Per-kernel aggregation goes through the metrics registry:
             // fill a `MetricSet` from the session counters, derive the
             // `PhaseTimings` façade from it, and flush it into the
@@ -789,7 +765,7 @@ end procedure
     #[test]
     fn candidates_are_screened_in_order_without_speculation() {
         // heat27 enumerates several invariant candidates and candidate 0
-        // proves sound. With two CEGIS threads the screen must still stop at
+        // proves sound. With `parallelism: 2` the screen must still stop at
         // the winner: every screened candidate is a CEGIS iteration, and only
         // the winner survives the bounded screen.
         let heat27 = stng_corpus::all_kernels()
