@@ -20,10 +20,9 @@
 //! The run doubles as the **regression gate**: every kernel recorded as
 //! translated in the frozen `BENCH_8.json` (the previous PR's snapshot) must
 //! still translate, the warm pass must hit on every lookup, parity must
-//! hold, every soundly verified kernel's capture counter must respect lazy
-//! tiered capture (never more than `grid_sizes × trials_per_size`, always a
-//! whole number of tiers, and at least the smallest tier — reachable states
-//! captured once per (session, tier) rather than once per candidate), the
+//! hold, every soundly verified kernel's capture counter must equal
+//! `grid_sizes × trials_per_size` (reachable states captured once per
+//! session rather than once per candidate), the
 //! whole corpus, lifted under an armed but generous budget (`bench_stng`
 //! attaches one), must cost at most 5% over an ungoverned control pass
 //! measured back to back in the same run (cross-snapshot wall-clock
@@ -527,30 +526,23 @@ fn main() {
         failed = true;
     }
     // Capture-reuse gate: every soundly verified kernel went through the
-    // CEGIS check session, which captures tiers lazily but each tier at most
-    // once. The counter must therefore never exceed the full
-    // `grid_sizes × trials_per_size` product, always be a whole number of
-    // tiers, and include at least the smallest tier (which every screened
-    // candidate touches). A drifting counter means the per-(session, tier)
-    // reuse invariant silently regressed to per-candidate capture.
+    // CEGIS check session, which captures every (size, trial) unit exactly
+    // once, on its first screen. A counter other than the full
+    // `grid_sizes × trials_per_size` product means the per-session reuse
+    // invariant silently regressed (per-candidate capture, or a unit
+    // skipped).
     let bounded = bench_stng().config.bounded;
-    let max_captures = bounded.grid_sizes.len() * bounded.trials_per_size;
-    let tier = bounded.trials_per_size;
+    let units = bounded.grid_sizes.len() * bounded.trials_per_size;
     let bad_captures: Vec<String> = rows
         .iter()
         .filter(|r| r.translated && r.soundly_verified && r.peak_candidates > 0)
-        .filter(|r| r.captures > max_captures || r.captures < tier || r.captures % tier != 0)
-        .map(|r| {
-            format!(
-                "{} (captures {}, expected a multiple of {tier} in {tier}..={max_captures})",
-                r.name, r.captures
-            )
-        })
+        .filter(|r| r.captures != units)
+        .map(|r| format!("{} (captures {}, expected {units})", r.name, r.captures))
         .collect();
     if bad_captures.is_empty() {
         println!(
-            "capture-reuse gate: every soundly verified kernel captured whole tiers at \
-             most once each (multiples of {tier}, <= {max_captures}, smallest tier always)"
+            "capture-reuse gate: every soundly verified kernel captured all {units} units \
+             exactly once"
         );
     } else {
         eprintln!("CAPTURE-REUSE REGRESSION: {bad_captures:?}");

@@ -352,22 +352,22 @@ pub mod fault {
         pub stall_kernels: Vec<String>,
         /// How long an injected prover stall sleeps.
         pub stall_ms: u64,
-        /// Kernels (matched by substring) whose lazy adaptive-tier capture
+        /// Kernels (matched by substring) whose bounded-screen capture
         /// panics *inside* the `OnceLock::get_or_init` initializer — the
-        /// poisoned-tier scenario. The cell is left uninitialized (std
+        /// poisoned-capture scenario. The cell is left uninitialized (std
         /// propagates the panic), so the session must surface `Crashed`
         /// rather than wedge.
-        pub tier_panic_kernels: Vec<String>,
-        /// Kernels (matched by substring) whose lazy tier capture stalls
-        /// (sleeps `stall_ms`) inside the initializer, so a wall-deadline
-        /// budget trips mid-escalation.
-        pub tier_stall_kernels: Vec<String>,
-        /// Kernels (matched by substring) whose escalation to any tier
-        /// *beyond the smallest* captures torn state: the tier materializes
-        /// with a synthetic capture error instead of usable states. The
-        /// screen must surface the error for surviving candidates, never
-        /// hang or fabricate a verdict.
-        pub torn_tier_kernels: Vec<String>,
+        pub capture_panic_kernels: Vec<String>,
+        /// Kernels (matched by substring) whose bounded-screen capture
+        /// stalls (sleeps `stall_ms`) inside the initializer, so a
+        /// wall-deadline budget trips mid-capture.
+        pub capture_stall_kernels: Vec<String>,
+        /// Kernels (matched by substring) whose capture tears the state of
+        /// one unit after the first: that unit holds a synthetic capture
+        /// error instead of usable states. The screen must surface the
+        /// error for candidates that pass the earlier unit, never hang or
+        /// fabricate a verdict.
+        pub torn_capture_kernels: Vec<String>,
     }
 
     /// Counts of faults actually injected since the registry was last armed.
@@ -377,9 +377,9 @@ pub mod fault {
         pub read_errors: u64,
         pub candidate_panics: u64,
         pub prover_stalls: u64,
-        pub tier_panics: u64,
-        pub tier_stalls: u64,
-        pub torn_tiers: u64,
+        pub capture_panics: u64,
+        pub capture_stalls: u64,
+        pub torn_captures: u64,
     }
 
     static ARMED: AtomicBool = AtomicBool::new(false);
@@ -390,9 +390,9 @@ pub mod fault {
     static INJ_READ: AtomicU64 = AtomicU64::new(0);
     static INJ_PANIC: AtomicU64 = AtomicU64::new(0);
     static INJ_STALL: AtomicU64 = AtomicU64::new(0);
-    static INJ_TIER_PANIC: AtomicU64 = AtomicU64::new(0);
-    static INJ_TIER_STALL: AtomicU64 = AtomicU64::new(0);
-    static INJ_TORN_TIER: AtomicU64 = AtomicU64::new(0);
+    static INJ_CAPTURE_PANIC: AtomicU64 = AtomicU64::new(0);
+    static INJ_CAPTURE_STALL: AtomicU64 = AtomicU64::new(0);
+    static INJ_TORN_CAPTURE: AtomicU64 = AtomicU64::new(0);
 
     fn splitmix(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -410,9 +410,9 @@ pub mod fault {
         INJ_READ.store(0, Ordering::Relaxed);
         INJ_PANIC.store(0, Ordering::Relaxed);
         INJ_STALL.store(0, Ordering::Relaxed);
-        INJ_TIER_PANIC.store(0, Ordering::Relaxed);
-        INJ_TIER_STALL.store(0, Ordering::Relaxed);
-        INJ_TORN_TIER.store(0, Ordering::Relaxed);
+        INJ_CAPTURE_PANIC.store(0, Ordering::Relaxed);
+        INJ_CAPTURE_STALL.store(0, Ordering::Relaxed);
+        INJ_TORN_CAPTURE.store(0, Ordering::Relaxed);
         *slot = Some(plan);
         ARMED.store(true, Ordering::Release);
     }
@@ -433,9 +433,9 @@ pub mod fault {
             read_errors: INJ_READ.load(Ordering::Relaxed),
             candidate_panics: INJ_PANIC.load(Ordering::Relaxed),
             prover_stalls: INJ_STALL.load(Ordering::Relaxed),
-            tier_panics: INJ_TIER_PANIC.load(Ordering::Relaxed),
-            tier_stalls: INJ_TIER_STALL.load(Ordering::Relaxed),
-            torn_tiers: INJ_TORN_TIER.load(Ordering::Relaxed),
+            capture_panics: INJ_CAPTURE_PANIC.load(Ordering::Relaxed),
+            capture_stalls: INJ_CAPTURE_STALL.load(Ordering::Relaxed),
+            torn_captures: INJ_TORN_CAPTURE.load(Ordering::Relaxed),
         }
     }
 
@@ -458,6 +458,21 @@ pub mod fault {
             counter.fetch_add(1, Ordering::Relaxed);
         }
         fire
+    }
+
+    /// `stall_ms` of an armed plan when `kernel` matches the substring list
+    /// `pick` (and `stall_ms > 0`), bumping `counter` on a hit.
+    fn stall_for_kernel(
+        kernel: &str,
+        pick: impl Fn(&FaultPlan) -> &[String],
+        counter: &AtomicU64,
+    ) -> Option<Duration> {
+        if !armed() {
+            return None;
+        }
+        let stall_ms = PLAN.lock().unwrap().as_ref()?.stall_ms;
+        (stall_ms > 0 && fires_for_kernel(kernel, pick, counter))
+            .then(|| Duration::from_millis(stall_ms))
     }
 
     fn fires_periodic(period: u64, seed: u64, tag: u64, calls: &AtomicU64) -> bool {
@@ -522,56 +537,27 @@ pub mod fault {
 
     /// How long the prover for this kernel should stall, if at all.
     pub fn prover_stall(kernel: &str) -> Option<Duration> {
-        if !armed() {
-            return None;
-        }
-        let guard = PLAN.lock().unwrap();
-        let plan = guard.as_ref()?;
-        if plan.stall_ms > 0
-            && plan
-                .stall_kernels
-                .iter()
-                .any(|k| kernel.contains(k.as_str()))
-        {
-            INJ_STALL.fetch_add(1, Ordering::Relaxed);
-            return Some(Duration::from_millis(plan.stall_ms));
-        }
-        None
+        stall_for_kernel(kernel, |p| &p.stall_kernels, &INJ_STALL)
     }
 
-    /// Should the lazy adaptive-tier capture for this kernel panic inside
-    /// its `OnceLock` initializer? (PR 8 adaptive tiers; the cell stays
-    /// uninitialized after the propagated panic.)
-    pub fn tier_capture_panic(kernel: &str) -> bool {
-        fires_for_kernel(kernel, |p| &p.tier_panic_kernels, &INJ_TIER_PANIC)
+    /// Should the bounded-screen capture for this kernel panic inside its
+    /// `OnceLock` initializer? (The cell stays uninitialized after the
+    /// propagated panic.)
+    pub fn capture_panic(kernel: &str) -> bool {
+        fires_for_kernel(kernel, |p| &p.capture_panic_kernels, &INJ_CAPTURE_PANIC)
     }
 
-    /// How long the lazy tier capture for this kernel should stall, if at
-    /// all (sleeps inside the initializer, so a wall deadline trips
-    /// mid-escalation).
-    pub fn tier_capture_stall(kernel: &str) -> Option<Duration> {
-        if !armed() {
-            return None;
-        }
-        let guard = PLAN.lock().unwrap();
-        let plan = guard.as_ref()?;
-        if plan.stall_ms > 0
-            && plan
-                .tier_stall_kernels
-                .iter()
-                .any(|k| kernel.contains(k.as_str()))
-        {
-            INJ_TIER_STALL.fetch_add(1, Ordering::Relaxed);
-            return Some(Duration::from_millis(plan.stall_ms));
-        }
-        None
+    /// How long the bounded-screen capture for this kernel should stall, if
+    /// at all (sleeps inside the initializer, so a wall deadline trips
+    /// mid-capture).
+    pub fn capture_stall(kernel: &str) -> Option<Duration> {
+        stall_for_kernel(kernel, |p| &p.capture_stall_kernels, &INJ_CAPTURE_STALL)
     }
 
-    /// Should escalation to a tier beyond the smallest capture torn state
-    /// for this kernel (a synthetic capture error instead of usable
-    /// states)?
-    pub fn torn_tier_capture(kernel: &str) -> bool {
-        fires_for_kernel(kernel, |p| &p.torn_tier_kernels, &INJ_TORN_TIER)
+    /// Should the capture for this kernel tear the state of one unit after
+    /// the first (a synthetic capture error instead of usable states)?
+    pub fn torn_capture(kernel: &str) -> bool {
+        fires_for_kernel(kernel, |p| &p.torn_capture_kernels, &INJ_TORN_CAPTURE)
     }
 }
 

@@ -55,13 +55,10 @@ pub mod names {
     pub static CEGIS_CANDIDATE: Name = Name::new("cegis.candidate");
     /// Extended bounded-validation fallback.
     pub static CEGIS_VALIDATE: Name = Name::new("cegis.validate");
-    /// Reachable-state capture (once per (kernel session, grid tier)).
+    /// Reachable-state capture (once per kernel session).
     pub static BOUNDED_CAPTURE: Name = Name::new("bounded.capture");
     /// Scanning captured states against one candidate's VCs.
     pub static BOUNDED_SCAN: Name = Name::new("bounded.scan");
-    /// One escalation rung of the adaptive bounded screen: capturing (when
-    /// lazy-first-touch) and scanning one grid tier (arg: grid size).
-    pub static BOUNDED_TIER: Name = Name::new("bounded.tier");
     /// The sound prover over one candidate's VC set.
     pub static PROVE_SESSION: Name = Name::new("prove.session");
     /// One `ProofSession::prove` obligation (detail: `memo_hit` /

@@ -21,7 +21,7 @@
 //! * `--no-sweep` — keep the expression arenas between passes.
 //! * `--profile` — print a per-kernel phase-breakdown table for the final
 //!   pass (capture / bounded / prove times plus the prover's obligation-memo
-//!   and learned-core hit rates, the adaptive bounded screen's
+//!   and learned-core hit rates, the bounded screen's
 //!   screened/survivor/batch-sweep counters, and whether the cache served
 //!   the row), so prover and screen wins are visible without parsing the
 //!   JSON report.

@@ -117,25 +117,25 @@ fn faulted_corpus_batch_completes_and_classifies_every_kernel() {
 }
 
 #[test]
-fn adaptive_tier_faults_are_classified_never_wedged() {
-    let dir = temp_dir("tiers");
+fn capture_faults_are_classified_never_wedged() {
+    let dir = temp_dir("captures");
     let plan = FaultPlan {
         seed: 0x71E2,
-        // A panic inside the lazy `OnceLock` tier capture: std leaves the
-        // cell uninitialized and propagates, so the worker's catch_unwind
-        // must isolate the kernel as crashed.
-        tier_panic_kernels: vec!["div0".to_string()],
+        // A panic inside the `OnceLock` capture: std leaves the cell
+        // uninitialized and propagates, so the worker's catch_unwind must
+        // isolate the kernel as crashed.
+        capture_panic_kernels: vec!["div0".to_string()],
         // A stall inside the initializer: the per-source deadline trips
-        // mid-escalation and the kernel lands on a budget-affected rung.
-        tier_stall_kernels: vec!["heat0".to_string()],
+        // mid-capture and the kernel lands on a budget-affected rung.
+        capture_stall_kernels: vec!["heat0".to_string()],
         stall_ms: 400,
-        // Torn state when escalating past the smallest tier: the screen
-        // reports a capture error and every candidate is rejected, so no
-        // invariant can be proven — the kernel must not come out soundly
-        // verified. (The extended bounded-validation fallback may still
-        // accept it: that rung runs full concrete executions and never
-        // touches the torn capture machinery.)
-        torn_tier_kernels: vec!["lap0".to_string()],
+        // Torn state in a unit after the first: the screen reports a
+        // capture error and every candidate is rejected, so no invariant
+        // can be proven — the kernel must not come out soundly verified.
+        // (The extended bounded-validation fallback may still accept it:
+        // that rung runs full concrete executions and never touches the
+        // torn capture.)
+        torn_capture_kernels: vec!["lap0".to_string()],
         ..FaultPlan::default()
     };
     let guard = chaos::armed(plan);
@@ -161,12 +161,12 @@ fn adaptive_tier_faults_are_classified_never_wedged() {
     assert_eq!(
         outcome_tag(&row("div0").report.outcome),
         "crashed",
-        "tier-capture panic must surface as crashed, got {:?}",
+        "capture panic must surface as crashed, got {:?}",
         row("div0").report.outcome
     );
     assert!(
         row("heat0").report.outcome.is_budget_affected(),
-        "tier-capture stall must trip the per-source budget, got {:?}",
+        "capture stall must trip the per-source budget, got {:?}",
         row("heat0").report.outcome
     );
     let lap0 = &row("lap0").report.outcome;
@@ -175,7 +175,7 @@ fn adaptive_tier_faults_are_classified_never_wedged() {
             soundly_verified, ..
         } => assert!(
             !soundly_verified,
-            "torn tier state rejects every candidate, so a sound proof is \
+            "torn capture state rejects every candidate, so a sound proof is \
              impossible — got a soundly-verified translation"
         ),
         KernelOutcome::Untranslated { .. }
@@ -184,9 +184,15 @@ fn adaptive_tier_faults_are_classified_never_wedged() {
     }
 
     let injected = guard.injected();
-    assert!(injected.tier_panics > 0, "no tier panics: {injected:?}");
-    assert!(injected.tier_stalls > 0, "no tier stalls: {injected:?}");
-    assert!(injected.torn_tiers > 0, "no torn tiers: {injected:?}");
+    assert!(
+        injected.capture_panics > 0,
+        "no capture panics: {injected:?}"
+    );
+    assert!(
+        injected.capture_stalls > 0,
+        "no capture stalls: {injected:?}"
+    );
+    assert!(injected.torn_captures > 0, "no torn captures: {injected:?}");
 
     // Disarmed rerun over the same cache directory: every faulted kernel
     // recovers — the poisoned `OnceLock` never wedges the session.

@@ -25,16 +25,10 @@
 //!   [`CheckSession::find_counterexample_exhaustive`]).
 //! * **Cross-candidate state reuse** — reachable states depend only on the
 //!   kernel and the (size, trial) seed, never on the candidate. A
-//!   [`CheckSession`] owned by the CEGIS loop captures them once into
-//!   immutable snapshots and scans them for every candidate, recompiling
-//!   only the candidate-dependent VCs between iterations.
-//! * **Escalating grid screening** — capture is tiered per grid size and
-//!   lazy: every candidate is scanned against the first (smallest, in the
-//!   configured order) tier's units, and a later tier is captured and
-//!   scanned only when all earlier tiers pass — wrong candidates killed by
-//!   the small grid never pay for the large one. Escalation order is
-//!   deterministic (the configured `grid_sizes` order), so CEGIS
-//!   trajectories and canonical reports stay byte-identical across runs.
+//!   [`CheckSession`] owned by the CEGIS loop captures every (size, trial)
+//!   unit once, on the first screen, into immutable snapshots and scans
+//!   them for every candidate in one pass, recompiling only the
+//!   candidate-dependent VCs between iterations.
 //! * **Batched structure-of-arrays execution** — within a unit, VCs are
 //!   scanned in the order they were generated, each compiled VC program
 //!   running across all in-scope captured states in one op-major pass over
@@ -193,42 +187,22 @@ impl CapturedUnit {
     }
 }
 
-/// One tier's captured units, in deterministic scan order. A unit whose
-/// capture execution failed keeps its error in place, so scanning preserves
-/// the old per-unit semantics: a violation in an earlier unit wins over a
-/// capture error in a later one.
-struct Captured {
-    units: Vec<std::result::Result<CapturedUnit, Error>>,
-    capture_ns: u64,
-}
-
-/// One escalation rung: all the trials of a single grid size, captured
-/// lazily on the first scan that reaches the rung.
-struct Tier {
-    size: i64,
-    captured: OnceLock<Captured>,
-}
-
 /// A bounded-checking session: reachable states captured **once** per
 /// (size, trial) and shared — via `Arc`-backed immutable snapshots — across
 /// every candidate the CEGIS loop screens.
 ///
-/// Capture is lazy per *tier* (grid size): the first tier is captured on
-/// the first [`CheckSession::find_counterexample`], and each later tier
-/// only when some candidate survives every earlier one. Capture executions
-/// are counted ([`CheckSession::capture_count`] increments inside the
-/// unit-execution path, not derived from stored state): after a session in
-/// which some candidate survived the full screen the count is exactly
-/// `grid_sizes × trials_per_size`, and it can never exceed that — a
-/// regression that recaptures states drifts the counter and fails the
-/// bench gate.
+/// The first screen captures all `grid_sizes × trials_per_size` units and
+/// later screens reuse them. [`CheckSession::capture_count`] counts capture
+/// executions, not stored states, so a regression that recaptures drifts it
+/// and fails the bench gate.
 pub struct CheckSession {
     checker: BoundedChecker,
     kernel: Kernel,
     map: Arc<SlotMap>,
-    tiers: Vec<Tier>,
+    units: OnceLock<Vec<std::result::Result<CapturedUnit, Error>>>,
     compiled_body: OnceLock<Result<(Vec<SlotStmt>, ProgramSet)>>,
     capture_runs: AtomicU64,
+    capture_ns: AtomicU64,
     check_ns: AtomicU64,
     screened: AtomicU64,
     survivors: AtomicU64,
@@ -250,21 +224,14 @@ impl CheckSession {
     /// from genuine evaluation failures via [`Budget::exhausted`].
     pub fn with_budget(checker: BoundedChecker, kernel: Kernel, budget: Budget) -> CheckSession {
         let map = Arc::new(SlotMap::for_kernel(&kernel));
-        let tiers = checker
-            .grid_sizes
-            .iter()
-            .map(|&size| Tier {
-                size,
-                captured: OnceLock::new(),
-            })
-            .collect();
         CheckSession {
             checker,
             kernel,
             map,
-            tiers,
+            units: OnceLock::new(),
             compiled_body: OnceLock::new(),
             capture_runs: AtomicU64::new(0),
+            capture_ns: AtomicU64::new(0),
             check_ns: AtomicU64::new(0),
             screened: AtomicU64::new(0),
             survivors: AtomicU64::new(0),
@@ -287,23 +254,17 @@ impl CheckSession {
         &self.map
     }
 
-    /// Number of (size, trial) capture executions performed so far (0
-    /// before first use; at most `grid_sizes × trials_per_size`, and
-    /// exactly that once some candidate survives the full screen — any
-    /// recapture drifts it). With lazy tiered capture, a session whose
-    /// candidates all die on the first tier captures only that tier.
+    /// Number of (size, trial) capture executions performed so far: 0
+    /// before the first screen, then exactly `grid_sizes × trials_per_size`
+    /// (any recapture drifts it).
     pub fn capture_count(&self) -> usize {
         self.capture_runs.load(Ordering::Relaxed) as usize
     }
 
-    /// Wall time spent capturing states, in nanoseconds (summed over the
-    /// tiers captured so far).
+    /// Wall time spent capturing states, in nanoseconds (0 before the
+    /// first screen).
     pub fn capture_ns(&self) -> u64 {
-        self.tiers
-            .iter()
-            .filter_map(|t| t.captured.get())
-            .map(|c| c.capture_ns)
-            .sum()
+        self.capture_ns.load(Ordering::Relaxed)
     }
 
     /// Cumulative wall time spent scanning states against VCs, in
@@ -322,8 +283,8 @@ impl CheckSession {
         self.screened.load(Ordering::Relaxed)
     }
 
-    /// Candidates that survived the full screen (no counterexample on any
-    /// tier).
+    /// Candidates that survived the screen (no counterexample on any
+    /// unit).
     pub fn survivors(&self) -> u64 {
         self.survivors.load(Ordering::Relaxed)
     }
@@ -332,15 +293,6 @@ impl CheckSession {
     /// SoA scan path.
     pub fn batch_scans(&self) -> u64 {
         self.batch_scans.load(Ordering::Relaxed)
-    }
-
-    /// The per-unit capture results of every tier, in scan order (capturing
-    /// all tiers now if needed). A unit whose capture failed holds its
-    /// error.
-    pub fn captured_units(&self) -> Vec<&std::result::Result<CapturedUnit, Error>> {
-        (0..self.tiers.len())
-            .flat_map(|t| self.capture_tier(t).units.iter())
-            .collect()
     }
 
     /// The kernel body compiled once per session. A body outside the
@@ -356,55 +308,46 @@ impl CheckSession {
         })
     }
 
-    /// Captures tier `t` (all trials of one grid size) on first touch.
-    fn capture_tier(&self, t: usize) -> &Captured {
-        let tier = &self.tiers[t];
-        tier.captured.get_or_init(|| {
+    /// Every (size, trial) unit's capture result, captured on first touch,
+    /// in scan order: `grid_sizes` order, then trial order. A unit whose
+    /// capture failed keeps its error in place, so a violation in an
+    /// earlier unit wins over a capture error in a later one.
+    pub fn captured_units(&self) -> &[std::result::Result<CapturedUnit, Error>] {
+        self.units.get_or_init(|| {
             let _span = stng_obs::span(&stng_obs::names::BOUNDED_CAPTURE);
-            // Fault sites for the lazy tier machinery (no-ops while the
-            // registry is disarmed). A panic here propagates out of
-            // `get_or_init` with the cell left uninitialized — the chaos
-            // suite pins that this surfaces as `Crashed`, never a wedge.
-            if fault::tier_capture_panic(&self.kernel.name) {
-                panic!(
-                    "fault-inject: tier capture panic in '{}' (grid size {})",
-                    self.kernel.name, tier.size
-                );
+            // Fault sites for the capture (no-ops while the registry is
+            // disarmed). A panic here propagates out of `get_or_init` with
+            // the cell left uninitialized — the chaos suite pins that this
+            // surfaces as `Crashed`, never a wedge.
+            if fault::capture_panic(&self.kernel.name) {
+                panic!("fault-inject: capture panic in '{}'", self.kernel.name);
             }
-            if let Some(pause) = fault::tier_capture_stall(&self.kernel.name) {
+            if let Some(pause) = fault::capture_stall(&self.kernel.name) {
                 std::thread::sleep(pause);
-            }
-            if t > 0 && fault::torn_tier_capture(&self.kernel.name) {
-                return Captured {
-                    units: vec![Err(Error::interp(format!(
-                        "fault-inject: torn state while escalating '{}' to grid size {}",
-                        self.kernel.name, tier.size
-                    )))],
-                    capture_ns: 0,
-                };
             }
             let (body, set) = match self.compiled_body() {
                 Ok(compiled) => compiled,
-                Err(err) => {
-                    return Captured {
-                        units: vec![Err(err.clone())],
-                        capture_ns: 0,
-                    }
-                }
+                Err(err) => return vec![Err(err.clone())],
             };
             let start = Instant::now();
-            let units: Vec<(i64, usize)> = (0..self.checker.trials_per_size)
-                .map(|trial| (tier.size, trial))
+            let keys: Vec<(i64, usize)> = self
+                .checker
+                .grid_sizes
+                .iter()
+                .flat_map(|&size| (0..self.checker.trials_per_size).map(move |trial| (size, trial)))
                 .collect();
-            let units =
-                stng_intern::parallel::map(&units, self.checker.parallelism, |&(size, trial)| {
+            let mut units =
+                stng_intern::parallel::map(&keys, self.checker.parallelism, |&(size, trial)| {
                     self.capture_unit(body, set, size, trial)
                         .map(|states| CapturedUnit::new(size, trial, states))
                 });
-            Captured {
-                units,
-                capture_ns: start.elapsed().as_nanos() as u64,
+            if fault::torn_capture(&self.kernel.name) && units.len() > 1 {
+                let torn = format!("fault-inject: torn state in '{}'", self.kernel.name);
+                units[1] = Err(Error::interp(torn));
             }
+            self.capture_ns
+                .store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            units
         })
     }
 
@@ -469,18 +412,16 @@ impl CheckSession {
         Ok(sink.snapshots)
     }
 
-    /// Checks the candidate's VCs against the captured states, escalating
-    /// tier by tier: the first tier's units are scanned first, and a later
-    /// tier is captured/scanned only when every earlier tier passes.
-    /// Returns the first violation found (deterministic: tiers in
-    /// `grid_sizes` order, units in trial order, VCs in generation order,
+    /// Checks the candidate's VCs against every captured unit in one pass.
+    /// Returns the first violation found (deterministic: units in
+    /// `grid_sizes` order then trial order, VCs in generation order,
     /// states in execution order — independent of the thread count), or
     /// `None` when all checks pass.
     ///
     /// Which counterexample is reported can differ from the exhaustive
     /// state-major scan (this scan is VC-major within a unit), but *whether*
     /// one exists cannot: a candidate survives iff no VC fails on any state
-    /// of any tier. The adaptive-vs-exhaustive differential suite pins this
+    /// of any unit. `stng-verify`'s `diff.bounded-screen` oracle pins this
     /// corpus-wide.
     ///
     /// # Errors
@@ -508,40 +449,31 @@ impl CheckSession {
     fn screen(&self, vcs: &[Vc]) -> Result<Option<Counterexample>> {
         let compiled = CompiledVcSet::compile(vcs, &self.map)
             .map_err(|e| Error::interp(format!("bounded check: VC set {e}")))?;
-        for t in 0..self.tiers.len() {
-            let mut rung = stng_obs::span(&stng_obs::names::BOUNDED_TIER);
-            rung.arg(self.tiers[t].size as u64);
-            let captured = self.capture_tier(t);
-            let found = stng_intern::parallel::find_first(
-                &captured.units,
-                self.checker.parallelism,
-                |_, unit| match unit {
-                    Ok(unit) => self.scan_unit(unit, &compiled, vcs),
-                    Err(err) => Some(Err(err.clone())),
-                },
-            );
-            if let Some((_, found)) = found {
-                return found.map(Some);
-            }
-        }
-        Ok(None)
+        let found = stng_intern::parallel::find_first(
+            self.captured_units(),
+            self.checker.parallelism,
+            |_, unit| match unit {
+                Ok(unit) => self.scan_unit(unit, &compiled, vcs),
+                Err(err) => Some(Err(err.clone())),
+            },
+        );
+        found.map(|(_, found)| found).transpose()
     }
 
     /// Exhaustive reference scan: checks every VC on every state in
     /// size → trial → state → VC order with the tree-walking evaluator
-    /// ([`check_vc_on_state`]) — no compiled VCs, no batching. The adaptive differential suite compares
+    /// ([`check_vc_on_state`]) — no compiled VCs, no batching.
+    /// `stng-verify`'s `diff.bounded-screen` oracle compares
     /// [`find_counterexample`](Self::find_counterexample) against this.
     ///
     /// # Errors
     ///
     /// Propagates the first capture error in unit order.
     pub fn find_counterexample_exhaustive(&self, vcs: &[Vc]) -> Result<Option<Counterexample>> {
-        for t in 0..self.tiers.len() {
-            for unit in &self.capture_tier(t).units {
-                let unit = unit.as_ref().map_err(Error::clone)?;
-                if let Some(found) = self.scan_unit_interp(unit, vcs) {
-                    return found.map(Some);
-                }
+        for unit in self.captured_units() {
+            let unit = unit.as_ref().map_err(Error::clone)?;
+            if let Some(found) = self.scan_unit_interp(unit, vcs) {
+                return found.map(Some);
             }
         }
         Ok(None)
@@ -796,7 +728,7 @@ mod tests {
     }
 
     #[test]
-    fn killed_candidates_capture_only_the_first_tier() {
+    fn killed_candidates_capture_every_unit_once() {
         let mut post = fixtures::running_example_post();
         post.clauses[0].eq.rhs = stng_ir::ir::IrExpr::Real(0.0);
         let (kernel, vcs) = vcs_with(post, fixtures::running_example_invariants());
@@ -807,8 +739,8 @@ mod tests {
         }
         assert_eq!(
             session.capture_count(),
-            checker.trials_per_size,
-            "a candidate killed on the smallest tier never captures larger tiers"
+            checker.grid_sizes.len() * checker.trials_per_size,
+            "the first screen captures every (size, trial) unit, and no screen recaptures"
         );
         assert_eq!(session.screened(), 3);
         assert_eq!(session.survivors(), 0);
@@ -1015,11 +947,11 @@ mod tests {
         assert_eq!(checker.unit_seed(4, 2), 0x77c2_9d85_a5b3_492a);
     }
 
-    /// The fault registry is process-global, so the tier-fault tests must
-    /// not arm/disarm concurrently with each other.
+    /// The fault registry is process-global, so the capture-fault tests
+    /// must not arm/disarm concurrently with each other.
     static FAULT_TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    /// A panic injected inside the lazy tier capture must leave the
+    /// A panic injected inside the capture must leave the
     /// `OnceLock` uninitialized — not poisoned — so the same session (and a
     /// fresh one) recovers once the fault is disarmed. The kernel name
     /// carries a unique substring because the fault registry is
@@ -1032,11 +964,11 @@ mod tests {
             fixtures::running_example_post(),
             fixtures::running_example_invariants(),
         );
-        kernel.name = "tier_panic_wedge_probe".into();
+        kernel.name = "capture_panic_wedge_probe".into();
         let session = CheckSession::new(BoundedChecker::new(), kernel);
 
         fault::arm(FaultPlan {
-            tier_panic_kernels: vec!["tier_panic_wedge_probe".into()],
+            capture_panic_kernels: vec!["capture_panic_wedge_probe".into()],
             ..FaultPlan::default()
         });
         let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1050,9 +982,8 @@ mod tests {
         assert!(session.find_counterexample(&vcs).unwrap().is_none());
     }
 
-    /// Torn state during tier escalation surfaces as a classified capture
-    /// error (never a panic or a hang), and only once the session actually
-    /// escalates past the first tier.
+    /// A torn unit surfaces as a classified capture error (never a panic
+    /// or a hang) for a candidate that passes every earlier unit.
     #[test]
     fn torn_tier_escalation_is_a_classified_error() {
         use stng_intern::guard::fault::{self, FaultPlan};
@@ -1061,15 +992,15 @@ mod tests {
             fixtures::running_example_post(),
             fixtures::running_example_invariants(),
         );
-        kernel.name = "torn_tier_probe".into();
+        kernel.name = "torn_capture_probe".into();
         let session = CheckSession::new(BoundedChecker::new(), kernel);
 
         fault::arm(FaultPlan {
-            torn_tier_kernels: vec!["torn_tier_probe".into()],
+            torn_capture_kernels: vec!["torn_capture_probe".into()],
             ..FaultPlan::default()
         });
-        // The correct candidate passes tier 0, escalates, and hits the torn
-        // second tier.
+        // The correct candidate passes the first unit and hits the torn
+        // second one.
         let err = session.find_counterexample(&vcs).unwrap_err();
         let injected = fault::injected();
         fault::disarm();
@@ -1077,19 +1008,19 @@ mod tests {
             err.to_string().contains("torn state"),
             "unexpected error: {err}"
         );
-        assert!(injected.torn_tiers >= 1);
+        assert!(injected.torn_captures >= 1);
 
         // A fresh session after disarm is unaffected.
         let (mut kernel2, _) = vcs_with(
             fixtures::running_example_post(),
             fixtures::running_example_invariants(),
         );
-        kernel2.name = "torn_tier_probe_recovered".into();
+        kernel2.name = "torn_capture_probe_recovered".into();
         let fresh = CheckSession::new(BoundedChecker::new(), kernel2);
         assert!(fresh.find_counterexample(&vcs).unwrap().is_none());
     }
 
-    /// An injected stall inside tier capture slows the screen but does not
+    /// An injected stall inside the capture slows the screen but does not
     /// change its verdict, and the injection counter records the hit.
     #[test]
     fn tier_capture_stall_only_delays() {
@@ -1099,11 +1030,11 @@ mod tests {
             fixtures::running_example_post(),
             fixtures::running_example_invariants(),
         );
-        kernel.name = "tier_stall_probe".into();
+        kernel.name = "capture_stall_probe".into();
         let session = CheckSession::new(BoundedChecker::new(), kernel);
 
         fault::arm(FaultPlan {
-            tier_stall_kernels: vec!["tier_stall_probe".into()],
+            capture_stall_kernels: vec!["capture_stall_probe".into()],
             stall_ms: 5,
             ..FaultPlan::default()
         });
@@ -1111,6 +1042,6 @@ mod tests {
         let injected = fault::injected();
         fault::disarm();
         assert!(verdict.unwrap().is_none());
-        assert!(injected.tier_stalls >= 1);
+        assert!(injected.capture_stalls >= 1);
     }
 }

@@ -115,9 +115,10 @@ pub struct PhaseTimings {
     pub bounded_ns: u64,
     /// Time spent in the sound prover.
     pub prove_ns: u64,
-    /// Number of (size, trial) state captures performed. With session reuse
-    /// this is exactly `grid_sizes × trials_per_size` however many
-    /// candidates were screened — the invariant the bench gate pins.
+    /// Number of (size, trial) state captures performed: the first screen
+    /// captures every unit once, so this is exactly
+    /// `grid_sizes × trials_per_size` however many candidates were screened
+    /// (0 when none was) — the invariant the bench gate pins.
     pub captures: usize,
     /// Proof obligations answered from the kernel's prover-session memo
     /// (case-split subtrees shared across sibling branches and candidates).
@@ -130,10 +131,10 @@ pub struct PhaseTimings {
     /// — a profiling signal, not an invariant (and, like all timing fields,
     /// excluded from canonical reports).
     pub core_hits: u64,
-    /// Candidates screened by the adaptive bounded checker (one per
+    /// Candidates screened by the bounded checker (one per
     /// `find_counterexample` call on the session).
     pub screened: u64,
-    /// Screened candidates that survived every tier and went to the prover.
+    /// Screened candidates that survived every unit and went to the prover.
     pub survivors: u64,
     /// Batched SoA program sweeps executed (one per ≤64-state chunk per VC
     /// per unit actually scanned). Schedule-dependent when the bounded

@@ -1,7 +1,7 @@
 //! Layer 1b — exhaustive model checking of the VC bytecode compiler and
 //! the SoA batch executor against the tree-walking evaluator.
 //!
-//! A fixed 3-point 1D kernel is executed once (all tiers, all trials) to
+//! A fixed 3-point 1D kernel is executed once (all sizes, all trials) to
 //! capture its reachable machine states. Then every VC in a small,
 //! *completely enumerated* grammar is checked on every captured state by
 //! both engines:
@@ -29,10 +29,10 @@
 //! the same engine run over whole-unit batches of up to 64 lanes must give
 //! each lane the one-lane call's exact outcome or error. Each
 //! enumerated VC chunk is additionally screened through
-//! `find_counterexample` (staged, SoA batched — including the lane-uniform
-//! offset fast path) against the tree-walking
-//! `find_counterexample_exhaustive`, pinning verdict agreement of the whole
-//! adaptive machinery on the same enumerated programs.
+//! `find_counterexample` (SoA batched — including the lane-uniform offset
+//! fast path) against the tree-walking `find_counterexample_exhaustive`,
+//! pinning verdict agreement of the whole production screen on the same
+//! enumerated programs.
 
 use crate::report::CheckReport;
 use stng_intern::guard::Budget;
@@ -209,21 +209,9 @@ fn check_set(session: &CheckSession, vcs: &[Vc], check: &mut CheckReport, outcom
         }
     }
 
-    // The same enumerated set through the full adaptive screen (SoA batch,
-    // escalation) against the exhaustive tree-walking reference scan.
-    let adaptive = session.find_counterexample(vcs);
-    let exhaustive = session.find_counterexample_exhaustive(vcs);
-    let agree = matches!(
-        (&adaptive, &exhaustive),
-        (Ok(None), Ok(None)) | (Ok(Some(_)), Ok(Some(_))) | (Err(_), Err(_))
-    );
-    check.cases += 1;
-    if !agree {
-        check.fail(format!(
-            "adaptive screen verdict diverged on an enumerated chunk: \
-             adaptive {adaptive:?} vs exhaustive {exhaustive:?}"
-        ));
-    }
+    // The same enumerated set through the full production screen (SoA
+    // batch) against the exhaustive tree-walking reference scan.
+    crate::layer2::screen_verdict(session, vcs, "enumerated chunk", None, check);
 }
 
 /// Runs the slot-program model checker. `deep` enables the kernel-body
@@ -240,19 +228,6 @@ pub fn run(deep: bool) -> Vec<CheckReport> {
         },
         kernel,
     );
-    // Touch every tier so `captured_units` sees them all.
-    let warmup = Vc {
-        name: "warmup".into(),
-        hypotheses: vec![],
-        body: vec![],
-        conclusion: Pred::Bool(IrExpr::cmp(CmpOp::Eq, IrExpr::Int(0), IrExpr::Int(0))),
-        int_scalars: vec![],
-        scope: VcScope::Initial,
-    };
-    session
-        .find_counterexample(std::slice::from_ref(&warmup))
-        .expect("warmup screen succeeds");
-
     let comparisons = comparisons();
     // Hypothesis options: none, or one comparison (sampled exhaustively
     // from a stride through the comparison set to keep the product

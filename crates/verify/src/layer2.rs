@@ -3,11 +3,12 @@
 //! Every subsystem with a fast/slow pair is registered here as a
 //! [`DiffOracle`] the harness drives: the three oracles that previously
 //! lived only as scattered release-mode tests (compiled checking, compiled
-//! proving, the adaptive screen), plus two new members — canon/fingerprint
-//! and disk-cache rehydration. The release tests remain the tier-1 /
-//! CI-release depth; the registry re-drives the same properties with
-//! counted (rather than panicking) verdicts so one `stng-verify` run
-//! reports every divergence across every oracle.
+//! proving, the bounded screen), plus two new members — canon/fingerprint
+//! and disk-cache rehydration. The release tests of the first two remain
+//! the tier-1 / CI-release depth; the bounded screen's differential lives
+//! only here (its unit tests below keep it in tier 1). The registry
+//! re-drives every property with counted (rather than panicking) verdicts
+//! so one `stng-verify` run reports every divergence across every oracle.
 //!
 //! Adding a new differential pair = implementing [`DiffOracle`] and
 //! appending it to [`registry`]; see `docs/verification.md`.
@@ -50,7 +51,7 @@ pub fn registry() -> Vec<Box<dyn DiffOracle>> {
     vec![
         Box::new(CompiledChecking),
         Box::new(CompiledProving),
-        Box::new(AdaptiveScreen),
+        Box::new(BoundedScreen),
         Box::new(CanonFingerprint),
         Box::new(CacheRehydration),
     ]
@@ -354,13 +355,104 @@ impl DiffOracle for CompiledProving {
     }
 }
 
-/// The staged, batched screen vs the exhaustive tree-walking reference
-/// scan — verdict (presence/absence/error) agreement.
-struct AdaptiveScreen;
+/// The batched screen vs the exhaustive tree-walking reference scan —
+/// verdict (presence/absence/error) agreement over the corpus, plus two
+/// fixed cases whose verdict is also pinned: the running example with its
+/// real invariants, and a kernel whose capture fails at one grid size.
+struct BoundedScreen;
 
-impl DiffOracle for AdaptiveScreen {
+/// Verdict classes of one screening: survived, killed, errored.
+const SURVIVED: usize = 0;
+const KILLED: usize = 1;
+const ERRORED: usize = 2;
+
+/// Screens `vcs` through both scans and returns the agreed verdict class,
+/// or records the divergence — or a verdict other than `expected`, when
+/// given — and returns `None`. Layer 1 screens its enumerated chunks with
+/// it too.
+pub(crate) fn screen_verdict(
+    session: &CheckSession,
+    vcs: &[Vc],
+    label: &str,
+    expected: Option<usize>,
+    check: &mut CheckReport,
+) -> Option<usize> {
+    check.cases += 1;
+    let screened = session.find_counterexample(vcs);
+    let exhaustive = session.find_counterexample_exhaustive(vcs);
+    let verdict = match (&screened, &exhaustive) {
+        (Ok(None), Ok(None)) => SURVIVED,
+        (Ok(Some(_)), Ok(Some(_))) => KILLED,
+        (Err(_), Err(_)) => ERRORED,
+        _ => {
+            check.fail(format!(
+                "{label}: screen {screened:?} vs exhaustive {exhaustive:?}"
+            ));
+            return None;
+        }
+    };
+    if expected.is_some_and(|e| e != verdict) {
+        check.fail(format!(
+            "{label}: verdict class {verdict}, expected {expected:?}"
+        ));
+        return None;
+    }
+    Some(verdict)
+}
+
+/// The running example with its hand-written invariants: the correct
+/// candidate survives both scans on every repeated screening of one session.
+fn screen_real_invariants(check: &mut CheckReport) {
+    let kernel = kernel_from_source(fixtures::RUNNING_EXAMPLE, 0).expect("running example lowers");
+    let nest = analyze_loop_nest(&kernel).expect("running example analyzes");
+    let vcs = generate_vcs(
+        &nest,
+        &kernel.assumptions,
+        &fixtures::running_example_invariants(),
+        &fixtures::running_example_post(),
+    );
+    let session = CheckSession::new(BoundedChecker::new(), kernel);
+    for round in 0..3 {
+        let label = format!("running-example/round{round}");
+        screen_verdict(&session, &vcs, &label, Some(SURVIVED), check);
+    }
+}
+
+const OOB_AT_4: &str = r#"
+procedure oob_at_4(n, a)
+  real (kind=8), dimension(0:min(n, 3)) :: a
+  integer :: i
+  do i = 1, n
+    a(i) = 0.0
+  enddo
+end procedure
+"#;
+
+/// A kernel whose capture fails at size 4 only (`a` declared `0..min(n,3)`
+/// but stored through `1..n`): a size-3 violation wins over the size-4
+/// capture error in both scans, and a surviving candidate surfaces the
+/// error in both.
+fn screen_capture_errors(check: &mut CheckReport) {
+    use stng_pred::vcgen::VcScope;
+    let kernel = kernel_from_source(OOB_AT_4, 0).expect("oob_at_4 lowers");
+    let vc = |name: &str, rhs: i64| Vc {
+        name: name.into(),
+        hypotheses: vec![],
+        body: vec![],
+        conclusion: stng_pred::Pred::Bool(IrExpr::cmp(CmpOp::Eq, IrExpr::Int(0), IrExpr::Int(rhs))),
+        int_scalars: vec![],
+        scope: VcScope::Initial,
+    };
+    let session = CheckSession::new(BoundedChecker::new(), kernel);
+    let killed = [vc("always-false", 1)];
+    screen_verdict(&session, &killed, "oob_at_4/killed", Some(KILLED), check);
+    let errored = [vc("tautology", 0)];
+    screen_verdict(&session, &errored, "oob_at_4/errored", Some(ERRORED), check);
+}
+
+impl DiffOracle for BoundedScreen {
     fn name(&self) -> &'static str {
-        "diff.adaptive-screen"
+        "diff.bounded-screen"
     }
 
     fn run(&self, tier: Tier) -> CheckReport {
@@ -381,28 +473,35 @@ impl DiffOracle for AdaptiveScreen {
             // Two rounds: the second runs on the cached captured states.
             for round in 0..2 {
                 for (family, vcs) in &families {
-                    check.cases += 1;
-                    let adaptive = session.find_counterexample(vcs);
-                    let exhaustive = session.find_counterexample_exhaustive(vcs);
-                    match (&adaptive, &exhaustive) {
-                        (Ok(None), Ok(None)) => verdicts[0] += 1,
-                        (Ok(Some(_)), Ok(Some(_))) => verdicts[1] += 1,
-                        (Err(_), Err(_)) => verdicts[2] += 1,
-                        _ => check.fail(format!(
-                            "{name}/{family}/round{round}: adaptive {adaptive:?} \
-                             vs exhaustive {exhaustive:?}"
-                        )),
+                    let label = format!("{name}/{family}/round{round}");
+                    if let Some(verdict) = screen_verdict(&session, vcs, &label, None, &mut check) {
+                        verdicts[verdict] += 1;
                     }
                 }
             }
         }
         check.count("kernels", kernels);
-        check.count("survived", verdicts[0]);
-        check.count("killed", verdicts[1]);
-        check.count("errored", verdicts[2]);
-        if verdicts[0] == 0 || verdicts[1] == 0 {
-            check.fail("sweep vacuous: a verdict class never occurred".to_string());
+        check.count("survived", verdicts[SURVIVED]);
+        check.count("killed", verdicts[KILLED]);
+        check.count("errored", verdicts[ERRORED]);
+        // Both main verdict classes must occur, and the whole corpus must
+        // exercise the property broadly.
+        let (min_kernels, min_verdicts) = match tier {
+            Tier::Quick => (1, 1),
+            Tier::Deep => (20, 21),
+        };
+        if kernels < min_kernels
+            || verdicts[SURVIVED] < min_verdicts
+            || verdicts[KILLED] < min_verdicts
+        {
+            check.fail(format!(
+                "sweep too thin: {kernels} kernels, {} survived, {} killed \
+                 (need {min_kernels}, {min_verdicts}, {min_verdicts})",
+                verdicts[SURVIVED], verdicts[KILLED]
+            ));
         }
+        screen_real_invariants(&mut check);
+        screen_capture_errors(&mut check);
         check
     }
 }
@@ -737,6 +836,21 @@ mod tests {
         let (validated, _skipped) =
             validate_summary(&kernel, &post, 42, &[3, 4]).expect("fixture post validates");
         assert!(validated > 0);
+    }
+
+    #[test]
+    fn bounded_screen_pins_real_invariants_and_capture_errors() {
+        let mut check = CheckReport::new("test");
+        screen_real_invariants(&mut check);
+        screen_capture_errors(&mut check);
+        assert_eq!(check.failures, 0, "{:?}", check.notes);
+        assert_eq!(check.cases, 5, "three screenings plus two");
+    }
+
+    #[test]
+    fn bounded_screen_oracle_is_green_on_the_whole_corpus() {
+        let report = BoundedScreen.run(Tier::Deep);
+        assert_eq!(report.failures, 0, "{:?}", report.notes);
     }
 
     #[test]
