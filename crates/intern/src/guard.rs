@@ -29,6 +29,13 @@
 //! global `--deadline-ms` cuts every kernel short no matter what its local
 //! slice says.
 //!
+//! A [`CandidateBudget`] ([`Budget::candidate`]) is the exception to
+//! charging as you go: CEGIS proves a candidate while its bounded screen is
+//! still running, so the proof meters attempts against a snapshot of the
+//! kernel's remaining attempts and charges the kernel only on
+//! [`CandidateBudget::commit`], after the screen passed. A rejected
+//! candidate is cancelled and charges nothing, at any thread count.
+//!
 //! The [`fault`] submodule is the deterministic fault-injection registry used
 //! by the chaos harness. It is always compiled (a single relaxed atomic load
 //! when disarmed, i.e. always in production) so that injection points do not
@@ -102,6 +109,10 @@ struct Inner {
     /// limit that tripped.
     tripped: AtomicU8,
     parent: Option<Budget>,
+    /// Whether consumption is also charged to `parent`. A candidate budget
+    /// observes its parent's clock and trips but charges it only on
+    /// [`CandidateBudget::commit`].
+    charges_parent: bool,
 }
 
 fn reason_code(r: DegradeReason) -> u8 {
@@ -180,8 +191,50 @@ impl Budget {
                 cancelled: AtomicBool::new(false),
                 tripped: AtomicU8::new(0),
                 parent,
+                charges_parent: true,
             })),
         }
+    }
+
+    /// A prover budget for one CEGIS candidate whose bounded screen has not
+    /// passed yet (it may be running on another thread). The candidate
+    /// budget observes this budget's deadline, cancellation and trips, and
+    /// meters prover attempts against a snapshot of the attempts this
+    /// budget chain has left, but charges nothing here until
+    /// [`CandidateBudget::commit`]. A candidate the screen rejects is
+    /// [cancelled](CandidateBudget::cancel) and never committed, so it
+    /// costs the kernel no attempts at any thread count.
+    pub fn candidate(&self) -> CandidateBudget {
+        let granted = self.prover_attempts_remaining();
+        CandidateBudget {
+            budget: Budget {
+                inner: Some(Arc::new(Inner {
+                    deadline: None,
+                    prover_attempts: granted.map(AtomicI64::new),
+                    check_fuel: None,
+                    cancelled: AtomicBool::new(false),
+                    tripped: AtomicU8::new(0),
+                    parent: self.inner.is_some().then(|| self.clone()),
+                    charges_parent: false,
+                })),
+            },
+            granted,
+        }
+    }
+
+    /// The fewest prover attempts left on any level of the chain (`None`
+    /// when no level limits attempts).
+    fn prover_attempts_remaining(&self) -> Option<i64> {
+        let mut least: Option<i64> = None;
+        let mut cur = self.inner.as_deref();
+        while let Some(inner) = cur {
+            if let Some(c) = &inner.prover_attempts {
+                let left = c.load(Ordering::Relaxed).max(0);
+                least = Some(least.map_or(left, |l| l.min(left)));
+            }
+            cur = inner.parent.as_ref().and_then(|p| p.inner.as_deref());
+        }
+        least
     }
 
     pub fn is_unlimited(&self) -> bool {
@@ -300,8 +353,8 @@ impl Budget {
                 }
             }
             match &inner.parent {
-                Some(p) => cur = p,
-                None => return Ok(()),
+                Some(p) if inner.charges_parent => cur = p,
+                _ => return Ok(()),
             }
         }
     }
@@ -317,6 +370,58 @@ impl Budget {
             cur = inner.parent.as_ref().and_then(|p| p.inner.as_deref());
         }
         None
+    }
+}
+
+/// The prover budget of one CEGIS candidate; see [`Budget::candidate`].
+#[derive(Debug)]
+pub struct CandidateBudget {
+    budget: Budget,
+    /// Attempts the candidate may spend (`None`: the chain is unlimited).
+    granted: Option<i64>,
+}
+
+impl CandidateBudget {
+    /// The budget the candidate's proof runs on.
+    pub fn budget(&self) -> &Budget {
+        &self.budget
+    }
+
+    /// Stops the candidate's proof at its next attempt (the screen
+    /// rejected the candidate). The parent budget is not affected.
+    pub fn cancel(&self) {
+        self.budget.cancel();
+    }
+
+    /// Charges the parent budget exactly the prover attempts the candidate
+    /// spent, as if each had been charged there as it was made: every
+    /// attempt but the last succeeds, and the last trips the parent iff it
+    /// tripped the candidate's meter. The clock is not polled.
+    pub fn commit(self) -> Result<(), DegradeReason> {
+        let (Some(granted), Some(inner), Some(parent)) = (
+            self.granted,
+            self.budget.inner.as_deref(),
+            self.budget.inner.as_ref().and_then(|i| i.parent.as_ref()),
+        ) else {
+            return Ok(());
+        };
+        let left = inner
+            .prover_attempts
+            .as_ref()
+            .map_or(granted, |c| c.load(Ordering::Relaxed));
+        let spent = (granted - left).max(0) as u64;
+        if spent == 0 {
+            return Ok(());
+        }
+        let charge = |n| {
+            parent.consume(
+                n,
+                |inner| inner.prover_attempts.as_ref(),
+                DegradeReason::ProverAttempts,
+            )
+        };
+        charge(spent - 1)?;
+        charge(1)
     }
 }
 
@@ -641,6 +746,77 @@ mod tests {
         b.cancel();
         assert_eq!(b.check_time(), Err(DegradeReason::Cancelled));
         assert_eq!(b.consume_prover_attempts(1), Err(DegradeReason::Cancelled));
+    }
+
+    #[test]
+    fn candidate_attempts_reach_the_parent_only_on_commit() {
+        let kernel = Budget::limited(None, Some(10), None);
+        // A rejected candidate: attempts spent, never committed.
+        let rejected = kernel.candidate();
+        assert!(rejected.budget().consume_prover_attempts(4).is_ok());
+        rejected.cancel();
+        assert_eq!(
+            rejected.budget().consume_prover_attempts(1),
+            Err(DegradeReason::Cancelled)
+        );
+        drop(rejected);
+        assert_eq!(kernel.exhausted(), None);
+        assert_eq!(kernel.prover_attempts_remaining(), Some(10));
+        // A committed candidate charges exactly what it spent.
+        let passed = kernel.candidate();
+        for _ in 0..3 {
+            assert!(passed.budget().consume_prover_attempts(1).is_ok());
+        }
+        assert!(passed.commit().is_ok());
+        assert_eq!(kernel.prover_attempts_remaining(), Some(7));
+        assert_eq!(kernel.exhausted(), None);
+    }
+
+    #[test]
+    fn committing_a_tripped_candidate_trips_the_parent_like_direct_charging() {
+        let batch = Budget::limited(None, Some(100), None);
+        let direct = batch.child(None, Some(3), None);
+        let serial: Vec<_> = (0..5).map(|_| direct.consume_prover_attempts(1)).collect();
+
+        let batch2 = Budget::limited(None, Some(100), None);
+        let kernel = batch2.child(None, Some(3), None);
+        let candidate = kernel.candidate();
+        let metered: Vec<_> = (0..5)
+            .map(|_| candidate.budget().consume_prover_attempts(1))
+            .collect();
+        assert_eq!(serial, metered);
+        assert_eq!(kernel.exhausted(), None, "nothing charged before commit");
+        assert_eq!(candidate.commit(), Err(DegradeReason::ProverAttempts));
+        assert_eq!(kernel.exhausted(), direct.exhausted());
+        // Both chains charged the batch pool the same three attempts.
+        assert_eq!(
+            batch2.prover_attempts_remaining(),
+            batch.prover_attempts_remaining()
+        );
+    }
+
+    #[test]
+    fn candidate_observes_parent_cancellation_and_deadline() {
+        let kernel = Budget::limited(None, Some(10), None);
+        let candidate = kernel.candidate();
+        kernel.cancel();
+        assert_eq!(
+            candidate.budget().consume_prover_attempts(1),
+            Err(DegradeReason::Cancelled)
+        );
+        let timed = Budget::limited(Some(Duration::from_nanos(0)), None, None);
+        std::thread::sleep(Duration::from_millis(1));
+        let candidate = timed.candidate();
+        assert_eq!(
+            candidate.budget().consume_prover_attempts(1),
+            Err(DegradeReason::Deadline)
+        );
+        // An unlimited parent still yields a cancellable candidate.
+        let free = Budget::unlimited().candidate();
+        assert!(free.budget().consume_prover_attempts(1_000).is_ok());
+        free.cancel();
+        assert!(free.budget().check_time().is_err());
+        assert!(free.commit().is_ok());
     }
 
     #[test]

@@ -682,11 +682,13 @@ pub mod sop {
 pub mod parallel {
     //! Scoped-thread work distribution for embarrassingly parallel stages.
     //!
-    //! The CEGIS screening loop checks independent candidates with pure
-    //! functions over shared immutable data; these helpers spread that work
-    //! over `std::thread::scope` threads while keeping results deterministic
-    //! (a parallel search returns the same element the sequential scan would
-    //! have).
+    //! Postcondition synthesis, the bounded screen's units and the
+    //! validation fallback run pure functions over shared immutable data,
+    //! and CEGIS overlaps each candidate's screen with its proof. These
+    //! helpers spread that work over `std::thread::scope` threads while
+    //! keeping results deterministic (a parallel search returns the same
+    //! element the sequential scan would have, and every helper has a
+    //! sequential fallback at one thread).
 
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -770,6 +772,31 @@ pub mod parallel {
             }
         });
         found.into_inner().expect("result slot poisoned")
+    }
+
+    /// Runs `a` on a scoped helper thread while the caller runs `b`, and
+    /// returns both results. Falls back to running `a` and then `b` in
+    /// order when `threads <= 1`, so `b` can observe what `a` did.
+    ///
+    /// A panic in `a` reaches the caller with its original payload once `b`
+    /// has returned (not the generic "a scoped thread panicked").
+    pub fn join<A: Send, B>(
+        threads: usize,
+        a: impl FnOnce() -> A + Send,
+        b: impl FnOnce() -> B,
+    ) -> (A, B) {
+        if threads <= 1 {
+            let ra = a();
+            return (ra, b());
+        }
+        std::thread::scope(|scope| {
+            let helper = scope.spawn(a);
+            let rb = b();
+            match helper.join() {
+                Ok(ra) => (ra, rb),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        })
     }
 }
 
@@ -929,5 +956,34 @@ mod tests {
             );
         }
         assert_eq!(parallel::find_first(&items, 8, |_, _| None::<()>), None);
+    }
+
+    #[test]
+    fn parallel_join_runs_both_and_orders_the_serial_fallback() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        for threads in [1, 2] {
+            let a_done = AtomicBool::new(false);
+            let (a, b_saw_a) = parallel::join(
+                threads,
+                || {
+                    a_done.store(true, Ordering::SeqCst);
+                    7
+                },
+                || a_done.load(Ordering::SeqCst),
+            );
+            assert_eq!(a, 7);
+            if threads == 1 {
+                assert!(b_saw_a, "the serial fallback runs `a` first");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_join_forwards_the_helper_panic_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            parallel::join(2, || -> () { panic!("helper payload") }, || 1)
+        })
+        .expect_err("the helper panic must reach the caller");
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"helper payload"));
     }
 }

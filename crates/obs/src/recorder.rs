@@ -286,8 +286,8 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Attaches a qualifier reported in the span's close event (e.g.
-    /// `memo_hit`).
+    /// Attaches a qualifier reported in the span's close event (e.g. a
+    /// cache lookup's `hit`).
     pub fn detail(&mut self, detail: &Name) {
         if self.name.is_some() {
             self.detail = Some(detail.symbol());

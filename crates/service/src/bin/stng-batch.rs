@@ -168,18 +168,18 @@ fn parse_args() -> Result<Args, String> {
 
 /// `--profile`: per-kernel phase breakdown of the final pass. Cache-served
 /// rows replay the original lift's phase counters, so on a warm pass the
-/// table shows what the lift cost when it actually ran.
+/// table shows what the lift cost when it actually ran. `oblig` counts the
+/// proof obligations attempted.
 fn print_profile(pass: &stng_service::batch::BatchPass) {
     println!(
         "\nprofile (pass {}): per-kernel phase breakdown\n\
-         {:<24} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>6} {:>6} {:>5} {:>5} {:>6}",
+         {:<24} {:>9} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>5} {:>5} {:>6}",
         pass.number,
         "kernel",
         "lift_ms",
         "capt_ms",
         "bound_ms",
         "prove_ms",
-        "memo%",
         "oblig",
         "cores",
         "screen",
@@ -192,19 +192,14 @@ fn print_profile(pass: &stng_service::batch::BatchPass) {
     let mut total_cached = 0usize;
     for k in &pass.kernels {
         let p = &k.report.phase;
-        let rate = p
-            .oblig_hit_rate()
-            .map(|r| format!("{:.1}", r * 100.0))
-            .unwrap_or_else(|| "-".to_string());
         println!(
-            "{:<24} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7} {:>7} {:>6} {:>6} {:>5} {:>5} {:>6}",
+            "{:<24} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7} {:>6} {:>6} {:>5} {:>5} {:>6}",
             k.kernel_name,
             k.lift_ms,
             p.capture_ms(),
             p.bounded_ms(),
             p.prove_ms(),
-            rate,
-            p.oblig_hits + p.oblig_misses,
+            p.oblig_misses,
             p.core_hits,
             p.screened,
             p.survivors,
@@ -215,19 +210,14 @@ fn print_profile(pass: &stng_service::batch::BatchPass) {
         total_cached += k.report.cached as usize;
         total.absorb(p);
     }
-    let rate = total
-        .oblig_hit_rate()
-        .map(|r| format!("{:.1}", r * 100.0))
-        .unwrap_or_else(|| "-".to_string());
     println!(
-        "{:<24} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7} {:>7} {:>6} {:>6} {:>5} {:>5} {:>6}",
+        "{:<24} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7} {:>6} {:>6} {:>5} {:>5} {:>6}",
         "total",
         total_lift_ms,
         total.capture_ms(),
         total.bounded_ms(),
         total.prove_ms(),
-        rate,
-        total.oblig_hits + total.oblig_misses,
+        total.oblig_misses,
         total.core_hits,
         total.screened,
         total.survivors,

@@ -23,7 +23,11 @@
 //! 2. the canonical set is looked up in the global verdict memo, and on a
 //!    miss checked against the *learned infeasibility cores* (minimal
 //!    constraint subsets previously proven UNSAT) — any query containing a
-//!    core is UNSAT without elimination;
+//!    core is UNSAT without elimination. Each core and each query carries a
+//!    64-bit signature, the OR of one content-hashed bit per row, and only
+//!    cores whose signature is a subset of the query's are compared row by
+//!    row. The bits hash row values, not row addresses, so the filter stays
+//!    exact after a sweep re-interns a surviving core's rows;
 //! 3. remaining queries run the slot-addressed dense elimination of
 //!    [`crate::lin_compile`], which also extracts new cores from its
 //!    contradiction provenance.
@@ -99,13 +103,18 @@ impl std::borrow::Borrow<Affine> for RowRef {
 /// elimination with a pointer-hash table lookup.
 static FM_MEMO: Memo<Vec<RowRef>, bool> = Memo::new();
 
-/// A learned core (sorted constraint subset) with the epoch of its last use.
-type TaggedCore = (Vec<Affine>, AtomicU64);
+/// A learned core: a sorted constraint subset, its row signature, and the
+/// epoch of its last use.
+struct LearnedCore {
+    sig: u64,
+    rows: Vec<Affine>,
+    tag: AtomicU64,
+}
 
 /// Learned infeasibility cores: minimal constraint subsets (sorted, so
 /// subset tests are linear merges) proven UNSAT by elimination, each tagged
 /// with the epoch of its last use so sweeps keep hot cores.
-static CORES: OnceLock<RwLock<Vec<TaggedCore>>> = OnceLock::new();
+static CORES: OnceLock<RwLock<Vec<LearnedCore>>> = OnceLock::new();
 
 /// Number of feasibility queries short-circuited by a learned core.
 static CORE_HITS: AtomicU64 = AtomicU64::new(0);
@@ -143,7 +152,7 @@ pub fn retain_epoch(cutoff: u64) -> usize {
     if let Some(lock) = CORES.get() {
         let mut cores = lock.write().expect("core store poisoned");
         let before = cores.len();
-        cores.retain(|(_, tag)| tag.load(Ordering::Relaxed) >= cutoff);
+        cores.retain(|core| core.tag.load(Ordering::Relaxed) >= cutoff);
         cores.shrink_to_fit();
         evicted += before - cores.len();
     }
@@ -170,55 +179,80 @@ where
     true
 }
 
-/// Checks `key` (sorted) against the learned cores; a containing query is
-/// UNSAT by monotonicity. Hits re-tag the core with the current epoch.
-fn core_subsumed(key: &[RowRef]) -> bool {
+/// The signature bit of one canonical row: a hash of its coefficients and
+/// constant picks one of 64 bits. Variables hash by their interned
+/// [`Symbol`] address, which is the identity `Affine` equality itself uses
+/// (symbols are never swept), so value-equal rows get the same bit whether
+/// or not [`ROWS`] has re-interned them since.
+fn row_bit(row: &Affine) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h = (row.constant as u64).wrapping_mul(K);
+    for (var, coeff) in &row.terms {
+        h = (h.rotate_left(5) ^ var.as_str().as_ptr() as u64).wrapping_mul(K);
+        h = (h.rotate_left(5) ^ *coeff as u64).wrapping_mul(K);
+    }
+    1 << (h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58)
+}
+
+/// The signature of a row set: the OR of its rows' bits. A set can only
+/// contain another if its signature contains the other's.
+fn signature<'a>(rows: impl IntoIterator<Item = &'a Affine>) -> u64 {
+    rows.into_iter().fold(0, |sig, row| sig | row_bit(row))
+}
+
+/// Checks `key` (sorted, with signature `sig`) against the learned cores; a
+/// containing query is UNSAT by monotonicity. A hit re-tags the first
+/// containing core in store order with the current epoch.
+fn core_subsumed(key: &[RowRef], sig: u64) -> bool {
     let Some(lock) = CORES.get() else {
         return false;
     };
     let cores = lock.read().expect("core store poisoned");
-    let now = epoch::current();
-    for (core, tag) in cores.iter() {
-        if core.len() <= key.len() && sorted_subset(core, key) {
-            tag.store(now, Ordering::Relaxed);
-            CORE_HITS.fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
+    let hit = cores.iter().find(|core| {
+        core.sig & !sig == 0 && core.rows.len() <= key.len() && sorted_subset(&core.rows, key)
+    });
+    if let Some(core) = hit {
+        core.tag.store(epoch::current(), Ordering::Relaxed);
+        CORE_HITS.fetch_add(1, Ordering::Relaxed);
     }
-    false
+    hit.is_some()
 }
 
 /// Records a freshly learned core (already minimized and verified UNSAT by
 /// the dense engine). Cores subsumed by an existing one are dropped; cores
 /// that subsume existing ones replace them.
-fn learn_core(mut core: Vec<Affine>) {
-    if core.is_empty() || core.len() > CORE_MAX_LEN {
+fn learn_core(mut rows: Vec<Affine>) {
+    if rows.is_empty() || rows.len() > CORE_MAX_LEN {
         return;
     }
-    core.sort();
+    rows.sort();
     let lock = CORES.get_or_init(Default::default);
     let mut cores = lock.write().expect("core store poisoned");
     if cores
         .iter()
-        .any(|(existing, _)| existing.len() <= core.len() && sorted_subset(existing, &core))
+        .any(|existing| existing.rows.len() <= rows.len() && sorted_subset(&existing.rows, &rows))
     {
         return;
     }
-    cores.retain(|(existing, _)| !sorted_subset(&core, existing));
+    cores.retain(|existing| !sorted_subset(&rows, &existing.rows));
     if cores.len() >= CORE_STORE_CAP {
         return;
     }
-    cores.push((core, AtomicU64::new(epoch::current())));
+    cores.push(LearnedCore {
+        sig: signature(&rows),
+        rows,
+        tag: AtomicU64::new(epoch::current()),
+    });
 }
 
 /// The compiled feasibility pipeline over a canonical (tightened, sorted,
-/// deduplicated) constraint set: memo, then learned cores, then dense
-/// elimination with core extraction.
-fn fm_query(key: &Vec<RowRef>) -> bool {
+/// deduplicated) constraint set with row signature `sig`: memo, then
+/// learned cores, then dense elimination with core extraction.
+fn fm_query(key: &Vec<RowRef>, sig: u64) -> bool {
     if let Some(hit) = FM_MEMO.get(key) {
         return hit;
     }
-    if core_subsumed(key) {
+    if core_subsumed(key, sig) {
         FM_MEMO.insert(key.clone(), true);
         return true;
     }
@@ -291,6 +325,8 @@ pub struct LinCtx {
     /// rebuilds it. This is the elimination context the compiled query
     /// pipeline keys on.
     canon: Vec<RowRef>,
+    /// [`signature`] of `canon`, maintained alongside it.
+    sig: u64,
     /// Legacy contexts bypass the memo/core/dense pipeline and run the
     /// tree-walking elimination directly (the differential oracle).
     legacy: bool,
@@ -324,16 +360,6 @@ impl LinCtx {
         self.constraints.is_empty()
     }
 
-    /// The canonical constraint set (tightened, sorted, deduplicated) plus
-    /// the definition layer — everything a feasibility or entailment query
-    /// can observe, in the shape the prover's obligation memo hashes.
-    pub fn obligation_key(&self) -> (Vec<Affine>, Vec<(Symbol, Affine)>) {
-        (
-            self.canon.iter().map(|r| r.0.clone()).collect(),
-            self.defs.clone(),
-        )
-    }
-
     /// Applies the definition layer to an affine expression.
     pub fn reduce(&self, aff: &Affine) -> Affine {
         self.reduced(aff.clone())
@@ -355,6 +381,7 @@ impl LinCtx {
         let row = intern_row(&c);
         if let Err(pos) = self.canon.binary_search(&row) {
             self.canon.insert(pos, row);
+            self.sig |= row_bit(row.0);
         }
         self.constraints.push(c);
     }
@@ -386,9 +413,10 @@ impl LinCtx {
         // query-heavy case-split phase extends it incrementally). Interned
         // rows sort by value exactly like the owned rows they mirror.
         self.canon = canonical(&self.constraints)
-            .iter()
-            .map(|c| RowRef(ROWS.intern(c.clone())))
+            .into_iter()
+            .map(|c| RowRef(ROWS.intern(c)))
             .collect();
+        self.sig = signature(self.canon.iter().map(|r| r.0));
     }
 
     /// Decides `m | aff` syntactically under the definition layer: after
@@ -462,7 +490,7 @@ impl LinCtx {
         if self.legacy {
             return fm_infeasible(&canonical(&self.constraints));
         }
-        fm_query(&self.canon)
+        fm_query(&self.canon, self.sig)
     }
 
     /// Refutation query: is the context together with the (already reduced)
@@ -478,18 +506,18 @@ impl LinCtx {
         // contradiction all by itself, and `c ≤ 0` is inert — the
         // conjunction is infeasible exactly when the context already is.
         if neg.terms.is_empty() {
-            return neg.constant > 0 || fm_query(&self.canon);
+            return neg.constant > 0 || fm_query(&self.canon, self.sig);
         }
         let neg = RowRef(ROWS.intern(neg));
         match self.canon.binary_search(&neg) {
             // The negation is already a context row: same canonical set.
-            Ok(_) => fm_query(&self.canon),
+            Ok(_) => fm_query(&self.canon, self.sig),
             Err(pos) => {
                 let mut key = Vec::with_capacity(self.canon.len() + 1);
                 key.extend_from_slice(&self.canon[..pos]);
                 key.push(neg);
                 key.extend_from_slice(&self.canon[pos..]);
-                fm_query(&key)
+                fm_query(&key, self.sig | row_bit(neg.0))
             }
         }
     }
@@ -664,7 +692,7 @@ pub mod model {
         let mut key: Vec<RowRef> = constraints.iter().map(intern_row).collect();
         key.sort();
         key.dedup();
-        fm_query(&key)
+        fm_query(&key, signature(key.iter().map(|r| r.0)))
     }
 
     /// Snapshot of the learned-core store. Every member set was proven
@@ -677,7 +705,23 @@ pub mod model {
                 lock.read()
                     .expect("core store poisoned")
                     .iter()
-                    .map(|(core, _)| core.clone())
+                    .map(|core| core.rows.clone())
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    /// The epoch each learned core was last used in, in store order (the
+    /// order of [`learned_cores`]). A core that answers a query is re-tagged
+    /// with the current epoch.
+    pub fn learned_core_epochs() -> Vec<u64> {
+        CORES
+            .get()
+            .map(|lock| {
+                lock.read()
+                    .expect("core store poisoned")
+                    .iter()
+                    .map(|core| core.tag.load(Ordering::Relaxed))
                     .collect()
             })
             .unwrap_or_default()

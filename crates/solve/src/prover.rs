@@ -23,8 +23,8 @@
 
 use crate::lin::{LinCtx, SplitCase, SPLIT_CASES};
 use crate::norm::{NAtom, NormErr, NormExpr, Store, SymState};
-use crate::oblig::ProverSession;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use stng_intern::guard::Budget;
 use stng_intern::Symbol;
 use stng_ir::ir::{Affine, IrExpr, IrStmt};
@@ -45,6 +45,35 @@ impl Verdict {
     /// True when the verdict is [`Verdict::Valid`].
     pub fn is_valid(&self) -> bool {
         matches!(self, Verdict::Valid)
+    }
+}
+
+/// Per-kernel prover counters, shared by every CEGIS candidate of a kernel.
+///
+/// Only counts: every obligation the case-split search attempts is a
+/// [miss](ProverSession::misses), and [`ProverSession::hits`] is always 0.
+/// Obligations are not memoized: no obligation recurs on the corpus or the
+/// benchmark streams, and a replayed verdict would charge no attempts, so
+/// a cancelled proof could change what later candidates are charged.
+#[derive(Debug, Default)]
+pub struct ProverSession {
+    misses: AtomicU64,
+}
+
+impl ProverSession {
+    /// A fresh session with zeroed counters.
+    pub fn new() -> ProverSession {
+        ProverSession::default()
+    }
+
+    /// Obligations answered without proof work: always 0.
+    pub fn hits(&self) -> u64 {
+        0
+    }
+
+    /// Obligations the prover attempted.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
     }
 }
 
@@ -85,24 +114,20 @@ impl SmtLite {
         SmtLite::default()
     }
 
-    /// Verifies a set of VCs without memoization; valid only if every one
-    /// is valid. Returns the verdict and the total number of proof attempts
-    /// spent (the case-split search effort). Every proof attempt charges
-    /// the shared [`Budget`] (attempt pool + wall-clock deadline).
-    /// Exhaustion yields `Verdict::Unknown` — sound but incomplete, exactly
-    /// like the prover's own internal limits; the caller distinguishes the
-    /// cases via [`Budget::exhausted`]. This is the memo-free side of the
-    /// prover differential; production goes through
-    /// [`SmtLite::verify_all_session`].
+    /// Verifies a set of VCs; valid only if every one is valid. Returns the
+    /// verdict and the total number of proof attempts spent (the case-split
+    /// search effort). Every proof attempt charges the shared [`Budget`]
+    /// (attempt pool + wall-clock deadline). Exhaustion yields
+    /// `Verdict::Unknown` — sound but incomplete, exactly like the prover's
+    /// own internal limits; the caller distinguishes the cases via
+    /// [`Budget::exhausted`].
     pub fn verify_all_governed(&self, vcs: &[Vc], budget: &Budget) -> (Verdict, usize) {
         self.verify_all_with(vcs, budget, None, false)
     }
 
-    /// Memoizing verification: like [`SmtLite::verify_all_governed`] but
-    /// every settled case-split subtree is recorded in (and replayed from)
-    /// the [`ProverSession`], which CEGIS shares across all candidates of
-    /// one kernel. Memo hits charge neither the returned attempt count nor
-    /// the [`Budget`] — only genuinely new obligations cost anything.
+    /// [`SmtLite::verify_all_governed`] that also counts the obligations it
+    /// attempts into the kernel's [`ProverSession`]. Same verdicts, same
+    /// attempts, same charges.
     pub fn verify_all_session(
         &self,
         vcs: &[Vc],
@@ -113,9 +138,9 @@ impl SmtLite {
     }
 
     /// Oracle verification: identical logic, but every [`LinCtx`] runs the
-    /// original tree-walking Fourier–Motzkin with no verdict memo, learned
-    /// cores, or obligation memoization. The corpus-wide differential test
-    /// pins `verify_all_session` ≡ `verify_all_governed` ≡ this.
+    /// original tree-walking Fourier–Motzkin with no verdict memo or learned
+    /// cores. The corpus-wide differential test pins
+    /// `verify_all_session` ≡ `verify_all_governed` ≡ this.
     pub fn verify_all_legacy(&self, vcs: &[Vc], budget: &Budget) -> (Verdict, usize) {
         self.verify_all_with(vcs, budget, None, true)
     }
@@ -142,13 +167,9 @@ impl SmtLite {
         &self,
         vc: &Vc,
         budget: &Budget,
-        memo: Option<&ProverSession>,
+        counters: Option<&ProverSession>,
         legacy: bool,
     ) -> (Verdict, usize) {
-        // The memo key's VC component is the full structural rendering:
-        // distinct candidates' distinct VCs get distinct ids, shared ones
-        // (loop bounds, frame conditions) collapse onto one.
-        let vc_key = memo.map(|m| m.vc_id(&format!("{vc:?}"))).unwrap_or(0);
         let mut session = ProofSession {
             vc,
             hyp_clauses: Vec::new(),
@@ -156,8 +177,7 @@ impl SmtLite {
             attempts: 0,
             max_attempts: self.max_attempts,
             budget,
-            memo,
-            vc_key,
+            counters,
         };
         let mut hyp_real_env = BTreeMap::new();
         // Partition hypotheses.
@@ -219,11 +239,8 @@ struct ProofSession<'a> {
     attempts: usize,
     max_attempts: usize,
     budget: &'a Budget,
-    /// Kernel-level obligation memo shared across candidates; `None` runs
-    /// the un-memoized search.
-    memo: Option<&'a ProverSession>,
-    /// This VC's id in the memo's key space.
-    vc_key: u32,
+    /// Kernel-level obligation counters, when the caller keeps them.
+    counters: Option<&'a ProverSession>,
 }
 
 impl<'a> ProofSession<'a> {
@@ -233,20 +250,12 @@ impl<'a> ProofSession<'a> {
         }
         // One span per obligation; recursion through `split` nests them, so
         // an armed trace shows the case-split tree. The close event carries
-        // the memo outcome and the remaining split depth.
+        // the remaining split depth.
         let mut oblig_span = stng_obs::span(&stng_obs::names::PROVE_OBLIG);
         oblig_span.arg(depth as u64);
-        // Settled subtree? Replaying a memoized verdict charges nothing —
-        // neither the attempt counter nor the governed budget — so a warm
-        // memo can never push a kernel onto the degradation ladder.
-        let handle = self.memo.map(|m| m.ctx_handle(ctx));
-        if let (Some(memo), Some(handle)) = (self.memo, handle) {
-            if let Some(verdict) = memo.lookup(self.vc_key, handle, depth) {
-                oblig_span.detail(&stng_obs::names::MEMO_HIT);
-                return verdict;
-            }
+        if let Some(counters) = self.counters {
+            counters.misses.fetch_add(1, Ordering::Relaxed);
         }
-        oblig_span.detail(&stng_obs::names::MEMO_MISS);
         self.attempts += 1;
         if self.attempts > self.max_attempts {
             return Err("proof attempt budget exhausted".to_string());
@@ -257,7 +266,7 @@ impl<'a> ProofSession<'a> {
         if let Err(reason) = self.budget.consume_prover_attempts(1) {
             return Err(format!("prover budget exhausted ({reason})"));
         }
-        let verdict = match self.attempt(ctx) {
+        match self.attempt(ctx) {
             Ok(()) => Ok(()),
             Err(Failure::Hard(msg)) => Err(msg),
             Err(Failure::Ambiguous(a, b)) => {
@@ -289,17 +298,7 @@ impl<'a> ProofSession<'a> {
                     }
                 }
             }
-        };
-        // Memoize clean outcomes only: a verdict reached after tripping the
-        // attempt cap or the governed budget reflects resource exhaustion,
-        // not the obligation, and a later candidate with budget left must
-        // be allowed to retry it.
-        if let (Some(memo), Some(handle)) = (self.memo, handle) {
-            if self.attempts <= self.max_attempts && self.budget.exhausted().is_none() {
-                memo.record(self.vc_key, handle, depth, verdict.clone());
-            }
         }
-        verdict
     }
 
     fn split(&mut self, ctx: &LinCtx, depth: usize, a: &Affine, b: &Affine) -> Result<(), String> {
@@ -758,25 +757,24 @@ mod tests {
     }
 
     #[test]
-    fn warm_session_memo_replays_without_charging_budget() {
+    fn session_counts_every_obligation_and_memoizes_nothing() {
         let vcs = running_example_vcs();
         let prover = SmtLite::new();
         let session = ProverSession::new();
         let (cold, spent) = prover.verify_all_session(&vcs, &Budget::unlimited(), &session);
         assert!(cold.is_valid());
-        assert!(spent > 0, "cold pass must do real proof work");
-        assert!(session.misses() > 0);
-        // Re-verifying the same VCs through the warm session must succeed
-        // from the memo alone: zero attempts charged, and a zero-token
-        // attempt budget never trips — a warm memo can never push a kernel
-        // onto the degradation ladder.
-        let zero = Budget::limited(None, Some(0), None);
-        let (warm, spent_warm) = prover.verify_all_session(&vcs, &zero, &session);
-        assert!(warm.is_valid());
-        assert_eq!(spent_warm, 0, "memo hits must not count as attempts");
-        assert!(
-            zero.exhausted().is_none(),
-            "memo hits must not charge the governed budget"
+        assert!(spent > 0, "the proof must do real work");
+        assert_eq!(session.misses(), spent as u64);
+        // A second pass through the same session costs exactly as much
+        // again: nothing is replayed for free.
+        let (warm, spent_warm) = prover.verify_all_session(&vcs, &Budget::unlimited(), &session);
+        assert_eq!(warm, cold);
+        assert_eq!(spent_warm, spent);
+        assert_eq!(session.misses(), 2 * spent as u64);
+        assert_eq!(session.hits(), 0);
+        assert_eq!(
+            prover.verify_all_governed(&vcs, &Budget::unlimited()),
+            (cold, spent)
         );
     }
 

@@ -71,7 +71,6 @@ fn sweeps_reduce_occupancy_and_respect_epoch_tags() {
         "solve.lin_rows",
         "solve.fm_memo",
         "solve.lin_cores",
-        "solve.obligations",
     ] {
         assert!(
             stats.iter().any(|s| s.name == solve_store),

@@ -4,7 +4,7 @@
 use crate::control::ControlBits;
 use crate::invariant::invariant_candidates;
 use crate::postcond::PostcondSynthesizer;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use stng_intern::guard::{fault, Budget, DegradeReason};
 use stng_intern::Symbol;
@@ -74,12 +74,15 @@ pub struct SynthesisConfig {
     pub require_sound_proof: bool,
     /// Grid sizes used for the extended bounded validation fallback.
     pub validation_sizes: Vec<i64>,
-    /// Worker threads for running the extended bounded-validation sizes
-    /// concurrently. CEGIS screens invariant candidates one at a time in
-    /// index order on the calling thread (the bounded checker parallelizes
-    /// within a screen, see [`BoundedChecker::parallelism`]), so the
-    /// accepted candidate and the screening counters do not depend on any
-    /// thread count.
+    /// Worker threads for CEGIS and the extended bounded validation. At 2
+    /// or more, each candidate's bounded screen runs on a helper thread
+    /// while the calling thread proves the same VCs; at 1 the screen runs
+    /// first and a rejected candidate is never proven. Candidates are still
+    /// tried one at a time in index order and a proof charges the kernel
+    /// budget only after its screen passed, so the accepted candidate, the
+    /// screening counters and attempt-governed outcomes do not depend on
+    /// the thread count. The validation fallback runs its sizes on up to
+    /// this many threads.
     pub parallelism: usize,
 }
 
@@ -103,9 +106,10 @@ impl Default for SynthesisConfig {
 /// the capture-reuse counter the benchmarks assert on.
 ///
 /// Durations are nanoseconds (exact integers, so reports survive cache
-/// round trips bit-for-bit). `bounded_ns` accumulates across candidates,
-/// which are screened one after another, so it never exceeds the wall
-/// time of the run.
+/// round trips bit-for-bit). `bounded_ns` and `prove_ns` each accumulate
+/// across candidates, which are tried one after another; with
+/// `SynthesisConfig::parallelism >= 2` a candidate's screen and proof
+/// overlap, so `bounded_ns + prove_ns` can exceed the wall time of the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseTimings {
     /// Time spent capturing reachable states (once per CEGIS session).
@@ -113,17 +117,18 @@ pub struct PhaseTimings {
     /// Time spent scanning captured states against candidate VCs, plus the
     /// extended bounded-validation fallback when it runs.
     pub bounded_ns: u64,
-    /// Time spent in the sound prover.
+    /// Time spent in the sound prover, including proofs cancelled because
+    /// the overlapping screen rejected their candidate.
     pub prove_ns: u64,
     /// Number of (size, trial) state captures performed: the first screen
     /// captures every unit once, so this is exactly
     /// `grid_sizes × trials_per_size` however many candidates were screened
     /// (0 when none was) — the invariant the bench gate pins.
     pub captures: usize,
-    /// Proof obligations answered from the kernel's prover-session memo
-    /// (case-split subtrees shared across sibling branches and candidates).
+    /// Proof obligations answered without proof work: always 0, since the
+    /// prover memoizes no obligations (kept for the report shape).
     pub oblig_hits: u64,
-    /// Proof obligations the prover actually had to work on.
+    /// Proof obligations the prover attempted.
     pub oblig_misses: u64,
     /// Feasibility queries short-circuited by a learned infeasibility core
     /// during this kernel's proving phase. The core store is global, so
@@ -194,8 +199,9 @@ impl PhaseTimings {
         self.prove_ns as f64 / 1e6
     }
 
-    /// Fraction of proof obligations answered from the session memo, or
-    /// `None` when the prover never ran.
+    /// Fraction of proof obligations answered without proof work (0 since
+    /// the obligation memo was removed), or `None` when the prover never
+    /// ran.
     pub fn oblig_hit_rate(&self) -> Option<f64> {
         let total = self.oblig_hits + self.oblig_misses;
         (total > 0).then(|| self.oblig_hits as f64 / total as f64)
@@ -213,8 +219,8 @@ pub struct SynthesisOutcome {
     pub control_bits: ControlBits,
     /// AST-node count of the postcondition (Table 1).
     pub postcond_nodes: usize,
-    /// Number of CEGIS candidate iterations (bounded-check rejections plus
-    /// verifier rejections) before the accepted candidate.
+    /// Number of CEGIS candidates tried, the accepted one included (on the
+    /// validation fallback: every candidate tried before the loop ended).
     pub cegis_iterations: usize,
     /// Proof attempts spent by the sound verifier on the accepted candidate
     /// (0 when the bounded-validation fallback was used).
@@ -248,8 +254,10 @@ pub struct SynthesisOutcome {
 /// The [`Budget`] (pass [`Budget::unlimited`] for an ungoverned run) is
 /// threaded cooperatively through all three engines — the candidate loop
 /// (polled per candidate), the case-split prover (polled per proof
-/// attempt), and the bounded checker (fuel per capture step / VC check,
-/// deadline at back-edges). The degradation ladder on exhaustion:
+/// attempt, metered on a [candidate budget](Budget::candidate) that charges
+/// the kernel only once the candidate's screen passed), and the bounded
+/// checker (fuel per capture step / VC check, deadline at back-edges). The
+/// degradation ladder on exhaustion:
 ///
 /// 1. prover attempts run dry → the bounded-validation fallback still runs;
 ///    an accepted summary carries `soundly_verified = false` and
@@ -298,7 +306,8 @@ pub fn synthesize_governed_with_phases(
     let mut control_bits = candidate.control_bits;
     let post = candidate.post;
     let postcond_nodes = post.node_count();
-    let mut iterations = 0usize;
+    // Candidates actually tried (screened, or cut short by a panic).
+    let mut tried = 0usize;
 
     // Step 2: invariants + Hoare proof, when the nest shape is supported.
     let mut peak_candidates = 0usize;
@@ -318,26 +327,24 @@ pub fn synthesize_governed_with_phases(
             // they would have per candidate before.
             let session =
                 CheckSession::with_budget(config.bounded.clone(), kernel.clone(), budget.clone());
-            // One prover session for the whole candidate set: settled
-            // case-split subtrees are shared across candidates (most VCs
-            // — loop bounds, frame conditions — are identical from one
-            // candidate to the next), and memo hits charge neither
-            // attempts nor the governed budget.
             let prover_session = ProverSession::new();
             let core_hits_before = stng_solve::lin::core_hit_count();
             let mut prove_ns = 0u64;
             let mut panicked = None;
             let mut accepted = None;
-            // Candidates are screened one at a time in index order, so the
+            // Candidates are tried one at a time in index order, so the
             // lowest-index candidate that proves sound wins and no candidate
-            // past it is screened; the bounded checker spreads each screen
-            // over its own worker threads.
+            // past it is screened. Each candidate's bounded screen runs on a
+            // helper thread while this thread proves the same VCs; the
+            // candidate is accepted only if both pass. At one thread the
+            // screen runs first and a rejected candidate is never proven.
             for (k, invariants) in inv_candidates.candidates.iter().enumerate() {
                 // A tripped budget skips the remaining candidates instead of
                 // screening them.
                 if budget.exhausted().is_some() {
                     break;
                 }
+                tried += 1;
                 let mut candidate_span = span(&names::CEGIS_CANDIDATE);
                 candidate_span.arg(k as u64);
                 let checked = catch_unwind(AssertUnwindSafe(|| {
@@ -350,29 +357,55 @@ pub fn synthesize_governed_with_phases(
                         panic!("injected candidate panic");
                     }
                     let vcs = generate_vcs(&nest, &kernel.assumptions, invariants, &post);
-                    // Fast screen: bounded checking on reachable states.
-                    match session.find_counterexample(&vcs) {
-                        Ok(None) => {}
-                        Ok(Some(_)) | Err(_) => return None,
-                    }
-                    // Sound check.
-                    if let Some(stall) = fault::prover_stall(&kernel.name) {
-                        event(
-                            &names::FAULT_INJECTED,
-                            Some(Symbol::intern("prover_stall")),
-                            k as u64,
+                    // The proof meters attempts on a candidate budget and
+                    // charges the kernel budget only once the screen has
+                    // passed, so attempt-governed outcomes do not depend on
+                    // the thread count.
+                    let proof_budget = budget.candidate();
+                    let screen = || {
+                        // Fast screen: bounded checking on reachable states.
+                        // It always runs to completion; a rejection (or a
+                        // panic) cancels the proof.
+                        let screened = catch_unwind(AssertUnwindSafe(|| {
+                            matches!(session.find_counterexample(&vcs), Ok(None))
+                        }));
+                        if !matches!(screened, Ok(true)) {
+                            proof_budget.cancel();
+                        }
+                        screened.unwrap_or_else(|payload| resume_unwind(payload))
+                    };
+                    let prove = || {
+                        // Sound check.
+                        if proof_budget.budget().exhausted().is_some() {
+                            return None;
+                        }
+                        if let Some(stall) = fault::prover_stall(&kernel.name) {
+                            event(
+                                &names::FAULT_INJECTED,
+                                Some(Symbol::intern("prover_stall")),
+                                k as u64,
+                            );
+                            std::thread::sleep(stall);
+                        }
+                        let proving = Instant::now();
+                        let prove_span = span(&names::PROVE_SESSION);
+                        let (verdict, attempts) = config.prover.verify_all_session(
+                            &vcs,
+                            proof_budget.budget(),
+                            &prover_session,
                         );
-                        std::thread::sleep(stall);
+                        drop(prove_span);
+                        Some((verdict.is_valid(), attempts, proving.elapsed()))
+                    };
+                    let (passed, proved) =
+                        stng_intern::parallel::join(config.parallelism, screen, prove);
+                    let (valid, attempts, proving) = proved?;
+                    prove_ns += proving.as_nanos() as u64;
+                    if !passed {
+                        return None;
                     }
-                    let proving = Instant::now();
-                    let prove_span = span(&names::PROVE_SESSION);
-                    let (verdict, attempts) =
-                        config
-                            .prover
-                            .verify_all_session(&vcs, budget, &prover_session);
-                    drop(prove_span);
-                    prove_ns += proving.elapsed().as_nanos() as u64;
-                    verdict.is_valid().then_some(attempts)
+                    let charged = proof_budget.commit();
+                    (valid && charged.is_ok()).then_some(attempts)
                 }));
                 match checked {
                     Ok(Some(attempts)) => {
@@ -431,7 +464,6 @@ pub fn synthesize_governed_with_phases(
             if let Some(panic) = panicked {
                 return (Err(SynthesisFailure::Crashed { panic }), phase);
             }
-            iterations = peak_candidates;
         }
     }
 
@@ -497,7 +529,7 @@ pub fn synthesize_governed_with_phases(
             invariants: None,
             control_bits,
             postcond_nodes,
-            cegis_iterations: iterations,
+            cegis_iterations: tried,
             prover_attempts: 0,
             peak_candidates,
             soundly_verified: false,
@@ -684,14 +716,12 @@ end procedure
 
     #[test]
     fn memo_miss_charging_is_deterministic_across_runs() {
-        // PR 5 pinned counter-only budget determinism at the service layer;
-        // with obligation memoization the charged quantity is memo *misses*,
-        // which must be just as deterministic: the same kernel synthesized
-        // twice from fresh, equal attempt budgets (single-threaded) must
-        // agree on outcome, degradation, attempt count, and exhaustion —
-        // even though the second run sees warm global FM memos and learned
-        // cores (those accelerate queries; they must not change verdicts or
-        // charging).
+        // Counter-only budget charging must be deterministic: the same
+        // kernel synthesized twice from fresh, equal attempt budgets
+        // (single-threaded) must agree on outcome, degradation, attempt
+        // count, obligations attempted, and exhaustion — even though the
+        // second run sees warm global FM memos and learned cores (those
+        // accelerate queries; they must not change verdicts or charging).
         let kernel = kernel_from_source(fixtures::RUNNING_EXAMPLE, 0).unwrap();
         let config = SynthesisConfig {
             parallelism: 1,
@@ -785,6 +815,105 @@ end procedure
         assert!(outcome.peak_candidates > 1, "{}", outcome.peak_candidates);
         assert_eq!(phase.screened, outcome.cegis_iterations as u64);
         assert_eq!(phase.survivors, 1);
+    }
+
+    #[test]
+    fn validation_fallback_counts_only_the_candidates_tried() {
+        // One prover attempt cannot prove heat27's first candidate, and the
+        // tripped budget ends the loop there: the fallback must report the
+        // one candidate tried, not every candidate enumerated.
+        let kernel = stng_corpus::all_kernels()
+            .into_iter()
+            .find(|k| k.name == "heat27")
+            .expect("heat27 is in the corpus")
+            .kernel()
+            .unwrap();
+        let budget = Budget::limited(None, Some(1), None);
+        let (result, phase) =
+            synthesize_governed_with_phases(&kernel, &SynthesisConfig::default(), &budget);
+        let outcome = result.unwrap();
+        assert!(outcome.peak_candidates > 1, "{}", outcome.peak_candidates);
+        assert_eq!(outcome.degraded, Some(DegradeReason::ProverAttempts));
+        assert!(!outcome.soundly_verified);
+        assert_eq!(outcome.cegis_iterations, 1);
+        assert_eq!(phase.screened, 1);
+    }
+
+    /// A kernel whose output lags its loop counter: iteration `i` writes
+    /// `a(i-1)`, so every invariant candidate claims a region that is not
+    /// written yet and the bounded screen rejects them all.
+    const LAGGING: &str = r#"
+procedure lag(n, a, b)
+  real, dimension(0:n) :: a
+  real, dimension(0:n) :: b
+  integer :: i
+  do i = 1, n
+    a(i-1) = b(i)
+  enddo
+end procedure
+"#;
+
+    #[test]
+    fn screen_rejected_candidates_charge_no_prover_attempts() {
+        let kernel = kernel_from_source(LAGGING, 0).unwrap();
+        let run = |threads: usize, attempts: Option<u64>| {
+            let config = SynthesisConfig {
+                parallelism: threads,
+                ..SynthesisConfig::default()
+            };
+            let budget = Budget::limited(None, attempts, None);
+            let (result, phase) = synthesize_governed_with_phases(&kernel, &config, &budget);
+            let outcome = result.unwrap();
+            assert_eq!(phase.survivors, 0, "every candidate must be rejected");
+            (
+                outcome.post.to_string(),
+                outcome.soundly_verified,
+                outcome.degraded,
+                outcome.cegis_iterations,
+                phase.screened,
+                budget.exhausted(),
+            )
+        };
+        // Zero attempts: any attempt a rejected candidate's proof makes
+        // would trip the kernel budget if it were charged.
+        for attempts in [Some(0), Some(1), None] {
+            let serial = run(1, attempts);
+            assert_eq!(serial, run(2, attempts), "attempt budget {attempts:?}");
+            assert!(!serial.1);
+            assert_eq!(serial.2, None, "a rejected candidate degraded the kernel");
+            assert_eq!(serial.3 as u64, serial.4);
+            assert_eq!(serial.5, None, "a rejected candidate charged the budget");
+        }
+    }
+
+    /// With two CEGIS threads the bounded screen runs on a helper thread
+    /// beside the candidate's proof; a panic inside its capture must still
+    /// reach the candidate's `catch_unwind` with its own message. The kernel
+    /// name is unique because the fault registry is process-global.
+    #[test]
+    fn capture_panic_on_the_screen_helper_thread_is_crashed() {
+        use stng_intern::guard::fault::{self, FaultPlan};
+        let mut kernel = kernel_from_source(fixtures::RUNNING_EXAMPLE, 0).unwrap();
+        kernel.name = "capture_panic_helper_probe".into();
+        let config = SynthesisConfig {
+            parallelism: 2,
+            ..SynthesisConfig::default()
+        };
+        fault::arm(FaultPlan {
+            capture_panic_kernels: vec![kernel.name.clone()],
+            ..FaultPlan::default()
+        });
+        let (result, _) = synthesize_governed_with_phases(&kernel, &config, &Budget::unlimited());
+        let injected = fault::injected();
+        fault::disarm();
+        match result {
+            Err(SynthesisFailure::Crashed { panic }) => assert_eq!(
+                panic,
+                "fault-inject: capture panic in 'capture_panic_helper_probe'"
+            ),
+            other => panic!("expected Crashed, got {other:?}"),
+        }
+        assert_eq!(injected.capture_panics, 1);
     }
 
     #[test]

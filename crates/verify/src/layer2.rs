@@ -244,8 +244,8 @@ impl DiffOracle for CompiledChecking {
     }
 }
 
-/// Legacy / compiled / memoized prover verdict agreement, plus warm-memo
-/// replay and budget-classification agreement on the running example.
+/// Legacy / compiled / session prover verdict and attempt agreement, plus
+/// budget-classification agreement on the running example.
 struct CompiledProving;
 
 impl DiffOracle for CompiledProving {
@@ -287,21 +287,12 @@ impl DiffOracle for CompiledProving {
                     continue;
                 }
                 let session = ProverSession::new();
-                let (memoized, ma) =
-                    prover.verify_all_session(&vcs, &Budget::unlimited(), &session);
-                if memoized != legacy || ma > ca {
+                let (counted, sa) = prover.verify_all_session(&vcs, &Budget::unlimited(), &session);
+                if counted != legacy || sa != ca || session.misses() != sa as u64 {
                     check.fail(format!(
-                        "{name}/{family}: memoized ({memoized:?}, {ma}) vs legacy"
-                    ));
-                    continue;
-                }
-                let zero = Budget::limited(None, Some(0), None);
-                let (warm, wa) = prover.verify_all_session(&vcs, &zero, &session);
-                if warm != legacy || wa != 0 || zero.exhausted().is_some() {
-                    check.fail(format!(
-                        "{name}/{family}: warm replay ({warm:?}, {wa} attempts, \
-                         exhausted {:?})",
-                        zero.exhausted()
+                        "{name}/{family}: session ({counted:?}, {sa} attempts, {} \
+                         counted) vs compiled ({compiled:?}, {ca})",
+                        session.misses()
                     ));
                     continue;
                 }
