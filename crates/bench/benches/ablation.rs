@@ -11,7 +11,7 @@ use stng_ir::lower::kernel_from_source;
 use stng_pred::fixtures;
 use stng_pred::vcgen::{analyze_loop_nest, generate_vcs};
 use stng_solve::bounded::CheckSession;
-use stng_solve::{BoundedChecker, SmtLite};
+use stng_solve::{BoundedChecker, ProverSession, SmtLite};
 use stng_synth::postcond::PostcondSynthesizer;
 
 fn print_ablation() {
@@ -47,7 +47,7 @@ fn print_ablation() {
     let bounded_time = t0.elapsed();
     let prover = SmtLite::new();
     let t1 = std::time::Instant::now();
-    let (verdict, _) = prover.verify_all_governed(&vcs, &Budget::unlimited());
+    let (verdict, _) = prover.verify_all_session(&vcs, &Budget::unlimited(), &ProverSession::new());
     let prover_time = t1.elapsed();
     println!(
         "running example: bounded check clean={} in {:.3}ms, sound proof valid={} in {:.3}ms",

@@ -14,6 +14,9 @@
 //!   coincides with structural equality.
 //! * [`Memo`] — a concurrent memo table for caching operation results keyed
 //!   on consed node identities.
+//! * [`sop`] — the hash-consed sum-of-products ring built from those two,
+//!   instantiated once for symbolic execution (concrete array indices) and
+//!   once for the prover (affine array indices).
 //! * [`parallel`] — scoped-thread work distribution (the container has no
 //!   crates.io access, so this stands in for rayon on embarrassingly parallel
 //!   CEGIS workloads).
@@ -33,6 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{OnceLock, RwLock};
 
 pub mod guard;
+pub mod sop;
 
 pub mod epoch {
     //! The global arena epoch: a monotone generation counter used to tag
@@ -351,6 +355,18 @@ impl<K: Hash + Eq, V: Copy> Memo<K, V> {
             .insert(key, (value, epoch::current()));
     }
 
+    /// Returns the cached result for `key`, or computes, caches and returns
+    /// it. No lock is held while `compute` runs, so it may recurse into the
+    /// same table.
+    pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
+        if let Some(hit) = self.get(&key) {
+            return hit;
+        }
+        let value = compute();
+        self.insert(key, value);
+        value
+    }
+
     /// Number of cached entries.
     pub fn len(&self) -> usize {
         self.inner
@@ -401,281 +417,6 @@ pub fn f64_key(x: f64) -> u64 {
         0.0f64.to_bits()
     } else {
         x.to_bits()
-    }
-}
-
-pub mod sop {
-    //! Shared sum-of-products machinery for the two expression normal forms
-    //! (`stng_sym::SymExpr` over concrete indices, `stng_solve::NormExpr`
-    //! over affine indices).
-    //!
-    //! Both keep values as a sorted vector of monomials, each a float
-    //! coefficient times an interned atom→power multiset ([`Factors`]); the
-    //! subtle merge loops (and the cancellation threshold) live here once so
-    //! the two representations cannot silently diverge.
-    //!
-    //! Factor sets are hash-consed in a per-atom-type [`ConsSet`], so a
-    //! monomial is a `Copy` pair of a coefficient and an 8-byte handle, and
-    //! re-coefficienting one (sums, negation, scaling) copies the handle
-    //! instead of rebuilding the multiset. Equality and hashing of handles
-    //! depend on content only (pointer equality is just the fast path): a
-    //! node that survives a partial epoch sweep may reference a factor set
-    //! the sweep evicted, and a later equal factor set — a fresh pointer —
-    //! must still make an equal node.
-
-    use crate::ConsSet;
-    use std::cmp::Ordering;
-    use std::collections::hash_map::DefaultHasher;
-    use std::fmt;
-    use std::hash::{Hash, Hasher};
-
-    /// Coefficients with magnitude at or below this are treated as zero and
-    /// dropped during normalization and sum merging.
-    pub const CANCEL_EPS: f64 = 1e-12;
-
-    /// A monomial of a sum-of-products normal form, as seen by the shared
-    /// merge algorithms: a coefficient plus an ordering on the factor
-    /// multiset (the grouping key).
-    pub trait Mono: Copy {
-        /// The multiplicative coefficient.
-        fn coeff(&self) -> f64;
-        /// The same monomial with a different coefficient.
-        fn with_coeff(&self, coeff: f64) -> Self;
-        /// Compares the factor multisets, ignoring the coefficient.
-        fn key_cmp(&self, other: &Self) -> Ordering;
-    }
-
-    /// An atom type whose factor sets are interned: each normal form
-    /// declares one `static ConsSet<FactorSet<Atom>>` and names it here.
-    pub trait FactorAtom: Ord + Hash + Clone + Sync + 'static {
-        /// The arena holding every factor set over this atom type.
-        fn factor_arena() -> &'static ConsSet<FactorSet<Self>>;
-    }
-
-    /// The interned payload behind a [`Factors`] handle: atom→power pairs
-    /// sorted by atom (distinct atoms, non-zero powers) plus a content hash
-    /// computed once, at construction.
-    pub struct FactorSet<A> {
-        hash: u64,
-        pairs: Box<[(A, u32)]>,
-    }
-
-    impl<A: Hash> FactorSet<A> {
-        fn new(pairs: Vec<(A, u32)>) -> FactorSet<A> {
-            // `DefaultHasher::new()` has fixed keys, so the hash is a pure
-            // function of the content.
-            let mut hasher = DefaultHasher::new();
-            pairs.hash(&mut hasher);
-            FactorSet {
-                hash: hasher.finish(),
-                pairs: pairs.into_boxed_slice(),
-            }
-        }
-    }
-
-    impl<A: PartialEq> PartialEq for FactorSet<A> {
-        fn eq(&self, other: &Self) -> bool {
-            self.hash == other.hash && self.pairs == other.pairs
-        }
-    }
-
-    impl<A: Eq> Eq for FactorSet<A> {}
-
-    impl<A> Hash for FactorSet<A> {
-        fn hash<H: Hasher>(&self, state: &mut H) {
-            state.write_u64(self.hash);
-        }
-    }
-
-    /// A `Copy` handle to an interned factor multiset. Equality is a pointer
-    /// check with a content fallback, hashing uses the stored content hash,
-    /// and ordering is the lexicographic content order over `(atom, power)`
-    /// pairs — the iteration order of a `BTreeMap<A, u32>` with the same
-    /// entries.
-    pub struct Factors<A: 'static>(&'static FactorSet<A>);
-
-    impl<A> Clone for Factors<A> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-
-    impl<A> Copy for Factors<A> {}
-
-    impl<A: FactorAtom> Factors<A> {
-        /// The empty multiset (the factor set of a constant monomial).
-        pub fn empty() -> Factors<A> {
-            Factors::from_sorted(Vec::new())
-        }
-
-        /// The multiset `{atom: 1}`.
-        pub fn one(atom: A) -> Factors<A> {
-            Factors::from_sorted(vec![(atom, 1)])
-        }
-
-        fn from_sorted(pairs: Vec<(A, u32)>) -> Factors<A> {
-            Factors(A::factor_arena().intern(FactorSet::new(pairs)))
-        }
-    }
-
-    impl<A> Factors<A> {
-        /// The `(atom, power)` pairs in atom order.
-        pub fn as_slice(self) -> &'static [(A, u32)] {
-            &self.0.pairs
-        }
-
-        /// Iterates the `(atom, power)` pairs in atom order.
-        pub fn iter(self) -> std::slice::Iter<'static, (A, u32)> {
-            self.as_slice().iter()
-        }
-
-        /// Iterates the distinct atoms in order.
-        pub fn atoms(self) -> impl Iterator<Item = &'static A> {
-            self.iter().map(|(atom, _)| atom)
-        }
-
-        /// Number of distinct atoms.
-        pub fn len(self) -> usize {
-            self.0.pairs.len()
-        }
-
-        /// True for the factor set of a constant monomial.
-        pub fn is_empty(self) -> bool {
-            self.0.pairs.is_empty()
-        }
-    }
-
-    impl<A: PartialEq> PartialEq for Factors<A> {
-        fn eq(&self, other: &Self) -> bool {
-            std::ptr::eq(self.0, other.0) || self.0 == other.0
-        }
-    }
-
-    impl<A: Eq> Eq for Factors<A> {}
-
-    impl<A> Hash for Factors<A> {
-        fn hash<H: Hasher>(&self, state: &mut H) {
-            state.write_u64(self.0.hash);
-        }
-    }
-
-    impl<A: Ord> PartialOrd for Factors<A> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl<A: Ord> Ord for Factors<A> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            if std::ptr::eq(self.0, other.0) {
-                Ordering::Equal
-            } else {
-                self.0.pairs.cmp(&other.0.pairs)
-            }
-        }
-    }
-
-    impl<A: fmt::Debug> fmt::Debug for Factors<A> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_map()
-                .entries(self.0.pairs.iter().map(|(atom, power)| (atom, power)))
-                .finish()
-        }
-    }
-
-    /// Product of two factor multisets: one merge pass over the sorted
-    /// pairs, cloning each atom once, then one intern. A constant side
-    /// returns the other handle unchanged.
-    pub fn merge_factors<A: FactorAtom>(left: Factors<A>, right: Factors<A>) -> Factors<A> {
-        if left.is_empty() {
-            return right;
-        }
-        if right.is_empty() {
-            return left;
-        }
-        let mut merged = Vec::with_capacity(left.len() + right.len());
-        let mut left = left.iter().peekable();
-        let mut right = right.iter().peekable();
-        loop {
-            let take_left = match (left.peek(), right.peek()) {
-                (Some((a, _)), Some((b, _))) => match a.cmp(b) {
-                    Ordering::Less => true,
-                    Ordering::Greater => false,
-                    Ordering::Equal => {
-                        let (atom, p) = left.next().expect("peeked");
-                        let (_, q) = right.next().expect("peeked");
-                        merged.push((atom.clone(), p + q));
-                        continue;
-                    }
-                },
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let (atom, p) = if take_left {
-                left.next().expect("peeked")
-            } else {
-                right.next().expect("peeked")
-            };
-            merged.push((atom.clone(), *p));
-        }
-        Factors::from_sorted(merged)
-    }
-
-    /// Sum of two normal forms (both already sorted by key with one monomial
-    /// per key): one linear merge, combining coefficients on equal keys and
-    /// dropping cancellations. No re-sort.
-    pub fn merge_sum<M: Mono>(a: &[M], b: &[M]) -> Vec<M> {
-        let mut terms = Vec::with_capacity(a.len() + b.len());
-        let mut left = a.iter().peekable();
-        let mut right = b.iter().peekable();
-        loop {
-            let take_left = match (left.peek(), right.peek()) {
-                (Some(x), Some(y)) => match x.key_cmp(y) {
-                    Ordering::Less => true,
-                    Ordering::Greater => false,
-                    Ordering::Equal => {
-                        let x = left.next().expect("peeked");
-                        let y = right.next().expect("peeked");
-                        let coeff = x.coeff() + y.coeff();
-                        if coeff.abs() > CANCEL_EPS {
-                            terms.push(x.with_coeff(coeff));
-                        }
-                        continue;
-                    }
-                },
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let mono = if take_left {
-                left.next().expect("peeked")
-            } else {
-                right.next().expect("peeked")
-            };
-            terms.push(*mono);
-        }
-        terms
-    }
-
-    /// Canonicalizes an arbitrary term vector: sort by key (stable, so
-    /// equal-key coefficients are summed in construction order, exactly as
-    /// the pre-interning representation did), combine equal keys, drop
-    /// cancellations.
-    pub fn normalize<M: Mono>(mut terms: Vec<M>) -> Vec<M> {
-        terms.sort_by(|a, b| a.key_cmp(b));
-        let mut merged: Vec<M> = Vec::new();
-        for term in terms {
-            if let Some(last) = merged.last_mut() {
-                if last.key_cmp(&term) == Ordering::Equal {
-                    *last = last.with_coeff(last.coeff() + term.coeff());
-                    continue;
-                }
-            }
-            merged.push(term);
-        }
-        merged.retain(|m| m.coeff().abs() > CANCEL_EPS);
-        merged
     }
 }
 
@@ -889,32 +630,37 @@ mod tests {
         assert!(sym.approx_bytes > 0);
     }
 
-    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-    struct TestAtom(u8);
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct TestDomain;
 
-    static TEST_FACTORS: ConsSet<sop::FactorSet<TestAtom>> = ConsSet::new();
+    static TEST_TABLES: sop::Tables<TestDomain> =
+        sop::Tables::new(["t.exprs", "t.factors", "t.add", "t.mul", "t.div", "t.neg"]);
 
-    impl sop::FactorAtom for TestAtom {
-        fn factor_arena() -> &'static ConsSet<sop::FactorSet<TestAtom>> {
-            &TEST_FACTORS
+    impl sop::Domain for TestDomain {
+        type Index = i64;
+        const NAME: &'static str = "TestExpr";
+        const READABLE: bool = true;
+        fn tables() -> &'static sop::Tables<TestDomain> {
+            &TEST_TABLES
         }
     }
 
     #[test]
     fn factor_sets_merge_by_adding_powers_and_intern_once() {
-        use sop::{merge_factors, Factors};
-        let x = Factors::one(TestAtom(1));
-        let y = Factors::one(TestAtom(2));
-        let xy = merge_factors(y, x);
-        assert_eq!(xy.as_slice(), &[(TestAtom(1), 1), (TestAtom(2), 1)]);
-        let product = merge_factors(merge_factors(x, x), xy);
-        assert_eq!(product.as_slice(), &[(TestAtom(1), 3), (TestAtom(2), 1)]);
+        use sop::{Atom, Factors};
+        let atom = |k: u8| Atom::<TestDomain>::Var(Symbol::intern(&format!("v{k}")));
+        let x = Factors::one(atom(1));
+        let y = Factors::one(atom(2));
+        let xy = y.merge(x);
+        assert_eq!(xy.as_slice(), &[(atom(1), 1), (atom(2), 1)]);
+        let product = x.merge(x).merge(xy);
+        assert_eq!(product.as_slice(), &[(atom(1), 3), (atom(2), 1)]);
         // The same product built another way is the same interned set.
-        let again = merge_factors(x, merge_factors(xy, x));
+        let again = x.merge(xy.merge(x));
         assert!(std::ptr::eq(product.as_slice(), again.as_slice()));
         // A constant side returns the other handle untouched.
         assert!(std::ptr::eq(
-            merge_factors(Factors::empty(), x).as_slice(),
+            Factors::empty().merge(x).as_slice(),
             x.as_slice()
         ));
         // Content order: {1:1} < {1:1, 2:1} < {1:3, 2:1} < {2:1}.

@@ -478,6 +478,13 @@ impl Affine {
     }
 }
 
+impl fmt::Display for Affine {
+    /// Prints the equivalent integer expression ([`Affine::to_expr`]).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.to_expr())
+    }
+}
+
 /// Greatest common divisor of two non-negative integers (`gcd(0, n) = n`).
 /// Shared by the stride-inference and integer-tightening layers.
 pub fn gcd(a: i64, b: i64) -> i64 {

@@ -6,8 +6,8 @@
 //! * `f64` — concrete execution for performance measurement and testing,
 //! * [`ModInt`] — the "integer field modulo 7" model the paper uses during
 //!   synthesis to sidestep floating-point reasoning (§4.4), and
-//! * the symbolic domain defined in the `stng-sym` crate, used for inductive
-//!   template generation.
+//! * the symbolic domain (`stng_sym::SymExpr`, an instantiation of the
+//!   `stng_intern::sop` ring), used for inductive template generation.
 //!
 //! Math intrinsics are pure; in the modular domain they are modeled as
 //! uninterpreted functions whose results are a deterministic hash of the
@@ -16,6 +16,7 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use stng_intern::sop::{Domain, Expr};
 
 /// The prime modulus used by the synthesis-time data domain (§4.4 of the
 /// paper models floating point values as an integer field modulo 7).
@@ -168,6 +169,38 @@ impl ModInt {
 impl fmt::Display for ModInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
+    }
+}
+
+/// The symbolic domains: every instantiation of the shared sum-of-products
+/// ring (`stng_sym::SymExpr` drives symbolic execution through this impl).
+impl<D: Domain> DataValue for Expr<D> {
+    fn from_const(value: f64) -> Self {
+        Expr::constant(value)
+    }
+
+    fn add(&self, other: &Self) -> Self {
+        *self + *other
+    }
+
+    fn sub(&self, other: &Self) -> Self {
+        *self - *other
+    }
+
+    fn mul(&self, other: &Self) -> Self {
+        *self * *other
+    }
+
+    fn div(&self, other: &Self) -> Self {
+        *self / *other
+    }
+
+    fn neg(&self) -> Self {
+        -*self
+    }
+
+    fn apply(func: &str, args: &[Self]) -> Self {
+        Expr::apply(func, args.to_vec())
     }
 }
 

@@ -8,6 +8,10 @@
 //! once would see each other's faults. [`armed`] therefore hands out an
 //! RAII guard that holds a global lock for the duration of the chaos run
 //! and disarms the registry on drop (including on panic/failed assert).
+//! A test that reruns a batch without faults calls [`ChaosGuard::disarm`]
+//! and keeps the guard: `run_batch` sweeps the global arenas, which is only
+//! safe while no other chaos test is mid-lift, so the rerun must stay under
+//! the lock.
 
 use std::sync::{Mutex, MutexGuard};
 use stng_intern::guard::fault::{self, FaultPlan, Injected};
@@ -23,6 +27,12 @@ impl ChaosGuard {
     /// Faults injected since this guard armed the registry.
     pub fn injected(&self) -> Injected {
         fault::injected()
+    }
+
+    /// Disarms the registry but keeps the chaos lock, so a fault-free rerun
+    /// stays serialized against every other chaos run.
+    pub fn disarm(&self) {
+        fault::disarm();
     }
 }
 

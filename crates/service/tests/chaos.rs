@@ -195,8 +195,10 @@ fn capture_faults_are_classified_never_wedged() {
     assert!(injected.torn_captures > 0, "no torn captures: {injected:?}");
 
     // Disarmed rerun over the same cache directory: every faulted kernel
-    // recovers — the poisoned `OnceLock` never wedges the session.
-    drop(guard);
+    // recovers — the poisoned `OnceLock` never wedges the session. The
+    // guard keeps the chaos lock: the rerun sweeps the global arenas, which
+    // must not happen while another chaos test is lifting.
+    guard.disarm();
     let report2 = batch::run_batch(&sources, &options).expect("cache dir usable");
     let pass2 = &report2.passes[0];
     for name in ["div0", "heat0", "lap0"] {
@@ -233,9 +235,9 @@ fn quarantined_entries_keep_their_evidence_on_disk() {
     };
     batch::run_batch(&sources, &options).expect("cache dir usable");
     assert!(guard.injected().torn_writes > 0);
-    drop(guard);
-
-    // Disarmed second run: the torn entry is detected and moved aside.
+    // Disarmed second run, still under the chaos lock: the torn entry is
+    // detected and moved aside.
+    guard.disarm();
     let report = batch::run_batch(&sources, &options).expect("cache dir usable");
     assert_eq!(report.cache.stats().quarantined, 1);
     let quarantined: Vec<_> = std::fs::read_dir(&dir)

@@ -958,7 +958,7 @@ mod tests {
     /// carries a unique substring because the fault registry is
     /// process-global and other tests may run concurrently.
     #[test]
-    fn tier_capture_panic_does_not_wedge_the_session() {
+    fn capture_panic_does_not_wedge_the_session() {
         use stng_intern::guard::fault::{self, FaultPlan};
         let _serial = FAULT_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let (mut kernel, vcs) = vcs_with(
@@ -986,7 +986,7 @@ mod tests {
     /// A torn unit surfaces as a classified capture error (never a panic
     /// or a hang) for a candidate that passes every earlier unit.
     #[test]
-    fn torn_tier_escalation_is_a_classified_error() {
+    fn torn_capture_is_a_classified_error() {
         use stng_intern::guard::fault::{self, FaultPlan};
         let _serial = FAULT_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let (mut kernel, vcs) = vcs_with(
@@ -1024,7 +1024,7 @@ mod tests {
     /// An injected stall inside the capture slows the screen but does not
     /// change its verdict, and the injection counter records the hit.
     #[test]
-    fn tier_capture_stall_only_delays() {
+    fn capture_stall_only_delays() {
         use stng_intern::guard::fault::{self, FaultPlan};
         let _serial = FAULT_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let (mut kernel, vcs) = vcs_with(

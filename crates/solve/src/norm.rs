@@ -1,29 +1,28 @@
 //! Canonical data-value terms with symbolic (affine) array indices, and
 //! normalization of IR expressions against a symbolic machine state.
 //!
-//! This is the verifier-side analogue of `stng_sym::SymExpr`: where the
-//! synthesizer's symbolic execution uses concrete indices (loop bounds are
-//! concrete), the sound verifier reasons about *all* states, so array indices
-//! are affine expressions over the free integer variables of a verification
-//! condition. Values are kept in sum-of-products normal form; array reads are
-//! resolved against the symbolic store list using the linear context
-//! (read-over-write with provable index equality/disequality).
+//! [`NormExpr`] is the shared hash-consed sum-of-products ring
+//! (`stng_intern::sop`, also behind `stng_sym::SymExpr`) instantiated at
+//! [`Symbolic`]: where the synthesizer's symbolic execution uses concrete
+//! indices (loop bounds are concrete), the sound verifier reasons about
+//! *all* states, so array indices are affine expressions over the free
+//! integer variables of a verification condition. Array reads are resolved
+//! against the symbolic store list using the linear context (read-over-write
+//! with provable index equality/disequality).
 //!
-//! Like `SymExpr`, normal forms are **hash-consed**: [`NormExpr`] is a
-//! `Copy`able reference to a canonical interned node, equality and hashing
-//! are O(1) pointer operations, and the ring operations plus atom
-//! substitution are memoized on node identity. Factor multisets are the
-//! shared interned `stng_intern::sop::Factors`, so an [`NMono`] is `Copy`.
-//! The prover's case-split search re-executes VC bodies and re-rewrites
-//! goals under many linear contexts; with consing, every re-normalization of
-//! an already-seen operand pair is a table hit instead of a tree rebuild.
+//! This module adds what only the prover needs: equality up to coefficient
+//! drift ([`approx_eq`]) and modulo the linear context ([`eq_mod_ctx`]),
+//! memoized atom substitution ([`subst_atom`]), and the symbolic machine
+//! state ([`SymState`]). The prover's case-split search re-executes VC
+//! bodies and re-rewrites goals under many linear contexts; with consing,
+//! every re-normalization of an already-seen operand pair is a table hit
+//! instead of a tree rebuild.
 
 use crate::lin::LinCtx;
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
-use stng_intern::sop::{self, FactorAtom, FactorSet, Factors, Mono};
-use stng_intern::{f64_key, ConsSet, Memo, Symbol};
+use stng_intern::sop::{self, Domain, Tables};
+use stng_intern::{Memo, Symbol};
 use stng_ir::ir::{Affine, BinOp, IrExpr};
 
 /// Failures raised during normalization.
@@ -57,183 +56,46 @@ impl fmt::Display for NormErr {
     }
 }
 
-/// An atomic factor of a normalized data term.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum NAtom {
-    /// A read of the *pre-state* value of an array at affine indices.
-    Load {
-        /// Array name.
-        array: Symbol,
-        /// Affine index per dimension.
-        indices: Vec<Affine>,
-    },
-    /// A free real scalar of the pre-state.
-    Var(Symbol),
-    /// An application of a pure (uninterpreted) function.
-    Apply {
-        /// Function name.
-        func: Symbol,
-        /// Normalized arguments.
-        args: Vec<NormExpr>,
-    },
-    /// An opaque quotient.
-    Quot {
-        /// Numerator.
-        num: NormExpr,
-        /// Denominator.
-        den: NormExpr,
-    },
-}
+/// The prover's atom domain: array reads at affine indices over the free
+/// integer variables of a verification condition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Symbolic;
 
-impl PartialOrd for NAtom {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for NAtom {
-    fn cmp(&self, other: &Self) -> Ordering {
-        fn rank(a: &NAtom) -> u8 {
-            match a {
-                NAtom::Load { .. } => 0,
-                NAtom::Var(_) => 1,
-                NAtom::Apply { .. } => 2,
-                NAtom::Quot { .. } => 3,
-            }
-        }
-        match (self, other) {
-            (
-                NAtom::Load {
-                    array: a1,
-                    indices: i1,
-                },
-                NAtom::Load {
-                    array: a2,
-                    indices: i2,
-                },
-            ) => a1.cmp(a2).then_with(|| i1.cmp(i2)),
-            (NAtom::Var(a), NAtom::Var(b)) => a.cmp(b),
-            (NAtom::Apply { func: f1, args: x1 }, NAtom::Apply { func: f2, args: x2 }) => {
-                f1.cmp(f2).then_with(|| x1.cmp(x2))
-            }
-            (NAtom::Quot { num: n1, den: d1 }, NAtom::Quot { num: n2, den: d2 }) => {
-                n1.cmp(n2).then_with(|| d1.cmp(d2))
-            }
-            _ => rank(self).cmp(&rank(other)),
-        }
-    }
-}
-
-/// One monomial: coefficient × product of atoms.
-#[derive(Debug, Clone, Copy)]
-pub struct NMono {
-    /// Coefficient.
-    pub coeff: f64,
-    /// Factors and their powers, sorted (interned).
-    pub factors: Factors<NAtom>,
-}
-
-impl PartialEq for NMono {
-    fn eq(&self, other: &Self) -> bool {
-        self.coeff == other.coeff && self.factors == other.factors
-    }
-}
-
-impl Eq for NMono {}
-
-impl std::hash::Hash for NMono {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        f64_key(self.coeff).hash(state);
-        self.factors.hash(state);
-    }
-}
-
-impl PartialOrd for NMono {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for NMono {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key_cmp(other)
-            .then_with(|| self.coeff.total_cmp(&other.coeff))
-    }
-}
-
-impl NMono {
-    fn constant(c: f64) -> NMono {
-        NMono {
-            coeff: c,
-            factors: Factors::empty(),
-        }
-    }
-
-    fn atom(a: NAtom) -> NMono {
-        NMono {
-            coeff: 1.0,
-            factors: Factors::one(a),
-        }
-    }
-
-    fn mul(&self, other: &NMono) -> NMono {
-        NMono {
-            coeff: self.coeff * other.coeff,
-            factors: sop::merge_factors(self.factors, other.factors),
-        }
-    }
-}
-
-impl Mono for NMono {
-    fn coeff(&self) -> f64 {
-        self.coeff
-    }
-
-    fn with_coeff(&self, coeff: f64) -> NMono {
-        NMono {
-            coeff,
-            factors: self.factors,
-        }
-    }
-
-    fn key_cmp(&self, other: &NMono) -> Ordering {
-        self.factors.cmp(&other.factors)
-    }
-}
-
-/// The interned payload of a [`NormExpr`].
-#[derive(Debug, PartialEq, Eq, Hash)]
-struct NNode {
-    /// Monomials, sorted and merged.
-    terms: Vec<NMono>,
-}
-
-static NEXPRS: ConsSet<NNode> = ConsSet::new();
-static NFACTORS: ConsSet<FactorSet<NAtom>> = ConsSet::new();
-static MEMO_ADD: Memo<(usize, usize), NormExpr> = Memo::new();
-static MEMO_MUL: Memo<(usize, usize), NormExpr> = Memo::new();
-static MEMO_DIV: Memo<(usize, usize), NormExpr> = Memo::new();
-static MEMO_NEG: Memo<usize, NormExpr> = Memo::new();
+/// The normal-form arena, factor-set arena and ring memos of [`NormExpr`].
+static TABLES: Tables<Symbolic> = Tables::new([
+    "solve.nexprs",
+    "solve.nfactors",
+    "solve.memo_add",
+    "solve.memo_mul",
+    "solve.memo_div",
+    "solve.memo_neg",
+]);
 static MEMO_SUBST: Memo<(usize, NAtom, usize), NormExpr> = Memo::new();
 
-impl FactorAtom for NAtom {
-    fn factor_arena() -> &'static ConsSet<FactorSet<NAtom>> {
-        &NFACTORS
+impl Domain for Symbolic {
+    type Index = Affine;
+    const NAME: &'static str = "NormExpr";
+    const READABLE: bool = false;
+
+    fn tables() -> &'static Tables<Symbolic> {
+        &TABLES
     }
 }
+
+/// A normalized data expression: sum of monomials, hash-consed.
+pub type NormExpr = sop::Expr<Symbolic>;
+/// An atomic factor of a normalized data term; a `Read` is of the
+/// *pre-state* value of an array.
+pub type NAtom = sop::Atom<Symbolic>;
+/// One monomial of a [`NormExpr`].
+pub type NMono = sop::Monomial<Symbolic>;
 
 /// Occupancy snapshots of the normal-form and factor-set arenas and their
 /// memos.
 pub fn arena_stats() -> Vec<stng_intern::ArenaStats> {
-    vec![
-        NEXPRS.stats("solve.nexprs"),
-        NFACTORS.stats("solve.nfactors"),
-        MEMO_ADD.stats("solve.memo_add"),
-        MEMO_MUL.stats("solve.memo_mul"),
-        MEMO_DIV.stats("solve.memo_div"),
-        MEMO_NEG.stats("solve.memo_neg"),
-        MEMO_SUBST.stats("solve.memo_subst"),
-    ]
+    let mut stats = TABLES.stats();
+    stats.push(MEMO_SUBST.stats("solve.memo_subst"));
+    stats
 }
 
 /// Sweeps the normal-form arena and memo tables, evicting entries last used
@@ -241,378 +103,88 @@ pub fn arena_stats() -> Vec<stng_intern::ArenaStats> {
 /// quiescence contract and sweep order (memos, nodes, factor sets) as
 /// `stng_sym::retain_epoch`.
 pub fn retain_epoch(cutoff: u64) -> usize {
-    MEMO_ADD.retain_epoch(cutoff)
-        + MEMO_MUL.retain_epoch(cutoff)
-        + MEMO_DIV.retain_epoch(cutoff)
-        + MEMO_NEG.retain_epoch(cutoff)
-        + MEMO_SUBST.retain_epoch(cutoff)
-        + NEXPRS.retain_epoch(cutoff)
-        + NFACTORS.retain_epoch(cutoff)
+    MEMO_SUBST.retain_epoch(cutoff) + TABLES.retain_epoch(cutoff)
 }
 
-/// A normalized data expression: sum of monomials, hash-consed.
-///
-/// `NormExpr` is a `Copy`able reference to the canonical interned node, so
-/// structural equality and hashing are O(1) and cloning is free.
-#[derive(Clone, Copy)]
-pub struct NormExpr(&'static NNode);
-
-impl PartialEq for NormExpr {
-    fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(self.0, other.0)
-    }
+/// Structural equality up to a small coefficient tolerance (verification is
+/// with respect to the reals, so tiny floating-point drift from constant
+/// folding must not cause spurious mismatches).
+pub fn approx_eq(a: NormExpr, b: NormExpr) -> bool {
+    a == b
+        || a.terms().len() == b.terms().len()
+            && a.terms()
+                .iter()
+                .zip(b.terms())
+                .all(|(x, y)| x.factors == y.factors && coeffs_close(x.coeff, y.coeff))
 }
 
-impl Eq for NormExpr {}
-
-impl std::hash::Hash for NormExpr {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.key().hash(state);
-    }
+fn coeffs_close(a: f64, b: f64) -> bool {
+    let scale = a.abs().max(b.abs()).max(1.0);
+    (a - b).abs() <= 1e-9 * scale
 }
 
-impl PartialOrd for NormExpr {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// Structural equality *modulo the linear context*: two expressions are
+/// equal when their monomials can be matched one-to-one with equal
+/// coefficients and factors, where array-read atoms compare by provable
+/// index equality rather than syntactic identity. This is what lets the
+/// verifier accept `b[q!vi, q!vj]` against `b[i, j]` inside a case branch
+/// that has assumed `q!vi = i ∧ q!vj = j`.
+pub fn eq_mod_ctx(a: NormExpr, b: NormExpr, ctx: &LinCtx) -> bool {
+    if approx_eq(a, b) {
+        return true;
     }
-}
-
-impl Ord for NormExpr {
-    fn cmp(&self, other: &Self) -> Ordering {
-        if std::ptr::eq(self.0, other.0) {
-            Ordering::Equal
-        } else {
-            self.0.terms.cmp(&other.0.terms)
-        }
+    if a.terms().len() != b.terms().len() {
+        return false;
     }
-}
-
-impl Default for NormExpr {
-    fn default() -> Self {
-        NormExpr::zero()
-    }
-}
-
-impl fmt::Debug for NormExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "NormExpr({self})")
-    }
-}
-
-impl NormExpr {
-    fn cons(terms: Vec<NMono>) -> NormExpr {
-        NormExpr(NEXPRS.intern(NNode { terms }))
-    }
-
-    fn key(self) -> usize {
-        self.0 as *const NNode as usize
-    }
-
-    /// Monomials, sorted and merged.
-    pub fn terms(self) -> &'static [NMono] {
-        &self.0.terms
-    }
-
-    /// Number of distinct normal forms interned process-wide (diagnostics).
-    pub fn arena_len() -> usize {
-        NEXPRS.len()
-    }
-
-    /// The zero expression.
-    pub fn zero() -> NormExpr {
-        NormExpr::cons(Vec::new())
-    }
-
-    /// A constant.
-    pub fn constant(c: f64) -> NormExpr {
-        NormExpr::normalized(vec![NMono::constant(c)])
-    }
-
-    /// A single atom.
-    pub fn atom(a: NAtom) -> NormExpr {
-        NormExpr::cons(vec![NMono::atom(a)])
-    }
-
-    /// A free real scalar.
-    pub fn var(name: impl Into<Symbol>) -> NormExpr {
-        NormExpr::atom(NAtom::Var(name.into()))
-    }
-
-    /// A pre-state array read.
-    pub fn load(array: impl Into<Symbol>, indices: Vec<Affine>) -> NormExpr {
-        NormExpr::atom(NAtom::Load {
-            array: array.into(),
-            indices,
-        })
-    }
-
-    /// Sum: one linear merge over the two (already sorted) normal forms.
-    pub fn add(&self, other: &NormExpr) -> NormExpr {
-        let (a, b) = if self.key() <= other.key() {
-            (*self, *other)
-        } else {
-            (*other, *self)
-        };
-        let memo_key = (a.key(), b.key());
-        if let Some(cached) = MEMO_ADD.get(&memo_key) {
-            return cached;
-        }
-        let result = NormExpr::cons(sop::merge_sum(a.terms(), b.terms()));
-        MEMO_ADD.insert(memo_key, result);
-        result
-    }
-
-    /// Difference.
-    pub fn sub(&self, other: &NormExpr) -> NormExpr {
-        self.add(&other.neg())
-    }
-
-    /// Product.
-    pub fn mul(&self, other: &NormExpr) -> NormExpr {
-        let (a, b) = if self.key() <= other.key() {
-            (*self, *other)
-        } else {
-            (*other, *self)
-        };
-        let memo_key = (a.key(), b.key());
-        if let Some(cached) = MEMO_MUL.get(&memo_key) {
-            return cached;
-        }
-        let mut terms = Vec::with_capacity(a.terms().len() * b.terms().len());
-        for x in a.terms() {
-            for y in b.terms() {
-                terms.push(x.mul(y));
+    let mut used = vec![false; b.terms().len()];
+    'outer: for x in a.terms() {
+        for (k, y) in b.terms().iter().enumerate() {
+            if used[k] || !coeffs_close(x.coeff, y.coeff) {
+                continue;
+            }
+            if monomial_factors_eq_mod_ctx(x, y, ctx) {
+                used[k] = true;
+                continue 'outer;
             }
         }
-        let result = NormExpr::normalized(terms);
-        MEMO_MUL.insert(memo_key, result);
-        result
+        return false;
     }
+    true
+}
 
-    /// Negation (canonical without re-sorting: keys are coefficient-free).
-    pub fn neg(&self) -> NormExpr {
-        if let Some(cached) = MEMO_NEG.get(&self.key()) {
-            return cached;
-        }
-        let terms = self
-            .terms()
-            .iter()
-            .map(|t| t.with_coeff(-t.coeff))
-            .collect();
-        let result = NormExpr::cons(terms);
-        MEMO_NEG.insert(self.key(), result);
-        result
-    }
-
-    /// Quotient (kept opaque unless the divisor is a non-zero constant).
-    pub fn div(&self, other: &NormExpr) -> NormExpr {
-        let memo_key = (self.key(), other.key());
-        if let Some(cached) = MEMO_DIV.get(&memo_key) {
-            return cached;
-        }
-        let result = if let Some(c) = other.as_constant() {
-            if c.abs() > 1e-12 {
-                NormExpr::normalized(
-                    self.terms()
-                        .iter()
-                        .map(|t| t.with_coeff(t.coeff / c))
-                        .collect(),
-                )
-            } else {
-                NormExpr::zero()
-            }
-        } else if self == other {
-            NormExpr::constant(1.0)
-        } else {
-            NormExpr::atom(NAtom::Quot {
-                num: *self,
-                den: *other,
-            })
-        };
-        MEMO_DIV.insert(memo_key, result);
-        result
-    }
-
-    /// Returns `Some(c)` when the expression is the constant `c`.
-    pub fn as_constant(&self) -> Option<f64> {
-        match self.terms().len() {
-            0 => Some(0.0),
-            1 if self.terms()[0].factors.is_empty() => Some(self.terms()[0].coeff),
-            _ => None,
-        }
-    }
-
-    /// Structural equality up to a small coefficient tolerance (verification
-    /// is with respect to the reals, so tiny floating-point drift from
-    /// constant folding must not cause spurious mismatches).
-    pub fn approx_eq(&self, other: &NormExpr) -> bool {
-        if self == other {
-            return true;
-        }
-        if self.terms().len() != other.terms().len() {
-            return false;
-        }
-        self.terms().iter().zip(other.terms()).all(|(a, b)| {
-            a.factors == b.factors && {
-                let scale = a.coeff.abs().max(b.coeff.abs()).max(1.0);
-                (a.coeff - b.coeff).abs() <= 1e-9 * scale
-            }
-        })
-    }
-
-    /// Structural equality *modulo the linear context*: two expressions are
-    /// equal when their monomials can be matched one-to-one with equal
-    /// coefficients and factors, where array-read atoms compare by provable
-    /// index equality rather than syntactic identity. This is what lets the
-    /// verifier accept `b[q!vi, q!vj]` against `b[i, j]` inside a case branch
-    /// that has assumed `q!vi = i ∧ q!vj = j`.
-    pub fn eq_mod_ctx(&self, other: &NormExpr, ctx: &LinCtx) -> bool {
-        if self.approx_eq(other) {
-            return true;
-        }
-        if self.terms().len() != other.terms().len() {
-            return false;
-        }
-        let mut used = vec![false; other.terms().len()];
-        'outer: for a in self.terms() {
-            for (k, b) in other.terms().iter().enumerate() {
-                if used[k] {
-                    continue;
-                }
-                let scale = a.coeff.abs().max(b.coeff.abs()).max(1.0);
-                if (a.coeff - b.coeff).abs() > 1e-9 * scale {
-                    continue;
-                }
-                if monomial_factors_eq_mod_ctx(a, b, ctx) {
-                    used[k] = true;
-                    continue 'outer;
-                }
-            }
-            return false;
-        }
-        true
-    }
-
-    /// All pre-state load atoms occurring at the top level of monomials or
-    /// nested inside applications/quotients. Returned as borrows of the
-    /// interned ('static) nodes — no index vectors are copied.
-    pub fn loads(self) -> Vec<(Symbol, &'static [Affine])> {
-        let mut out = Vec::new();
-        self.collect_loads(&mut out);
-        out
-    }
-
-    fn collect_loads(self, out: &mut Vec<(Symbol, &'static [Affine])>) {
-        for term in self.terms() {
-            for atom in term.factors.atoms() {
-                match atom {
-                    NAtom::Load { array, indices } => {
-                        let entry = (*array, indices.as_slice());
-                        if !out.contains(&entry) {
-                            out.push(entry);
-                        }
-                    }
-                    NAtom::Apply { args, .. } => {
-                        for a in args {
-                            a.collect_loads(out);
-                        }
-                    }
-                    NAtom::Quot { num, den } => {
-                        num.collect_loads(out);
-                        den.collect_loads(out);
-                    }
-                    NAtom::Var(_) => {}
-                }
-            }
-        }
-    }
-
-    /// Replaces every occurrence of `target` (a load atom) with `value`,
-    /// including inside applications and quotients. Memoized on the consed
-    /// identities of the expression and replacement.
-    pub fn subst_atom(&self, target: &NAtom, value: &NormExpr) -> NormExpr {
-        let memo_key = (self.key(), target.clone(), value.key());
-        if let Some(cached) = MEMO_SUBST.get(&memo_key) {
-            return cached;
-        }
+/// Replaces every occurrence of `target` (a read atom) in `expr` with
+/// `value`, including inside applications and quotients. Memoized on the
+/// consed identities of the expression and replacement.
+pub fn subst_atom(expr: NormExpr, target: &NAtom, value: NormExpr) -> NormExpr {
+    MEMO_SUBST.get_or_insert_with((expr.key(), target.clone(), value.key()), || {
         let mut result = NormExpr::zero();
-        for term in self.terms() {
+        for term in expr.terms() {
             let mut factor_expr = NormExpr::constant(term.coeff);
             for (atom, power) in term.factors.iter() {
                 let replacement = if atom == target {
-                    *value
+                    value
                 } else {
                     // Recurse into composite atoms.
                     match atom {
-                        NAtom::Apply { func, args } => NormExpr::atom(NAtom::Apply {
-                            func: *func,
-                            args: args.iter().map(|a| a.subst_atom(target, value)).collect(),
-                        }),
+                        NAtom::Apply { func, args } => NormExpr::apply(
+                            *func,
+                            args.iter().map(|a| subst_atom(*a, target, value)).collect(),
+                        ),
                         NAtom::Quot { num, den } => NormExpr::atom(NAtom::Quot {
-                            num: num.subst_atom(target, value),
-                            den: den.subst_atom(target, value),
+                            num: subst_atom(*num, target, value),
+                            den: subst_atom(*den, target, value),
                         }),
                         other => NormExpr::atom(other.clone()),
                     }
                 };
                 for _ in 0..*power {
-                    factor_expr = factor_expr.mul(&replacement);
+                    factor_expr = factor_expr * replacement;
                 }
             }
-            result = result.add(&factor_expr);
+            result = result + factor_expr;
         }
-        MEMO_SUBST.insert(memo_key, result);
         result
-    }
-
-    fn normalized(terms: Vec<NMono>) -> NormExpr {
-        NormExpr::cons(sop::normalize(terms))
-    }
-}
-
-impl fmt::Display for NormExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.terms().is_empty() {
-            return write!(f, "0");
-        }
-        for (k, term) in self.terms().iter().enumerate() {
-            if k > 0 {
-                write!(f, " + ")?;
-            }
-            write!(f, "{}", term.coeff)?;
-            for (atom, power) in term.factors.iter() {
-                write!(f, "*")?;
-                match atom {
-                    NAtom::Load { array, indices } => {
-                        write!(f, "{array}[")?;
-                        for (n, ix) in indices.iter().enumerate() {
-                            if n > 0 {
-                                write!(f, ",")?;
-                            }
-                            write!(f, "{}", ix.to_expr())?;
-                        }
-                        write!(f, "]")?;
-                    }
-                    NAtom::Var(name) => write!(f, "{name}")?,
-                    NAtom::Apply { func, args } => {
-                        write!(f, "{func}(")?;
-                        for (n, a) in args.iter().enumerate() {
-                            if n > 0 {
-                                write!(f, ",")?;
-                            }
-                            write!(f, "{a}")?;
-                        }
-                        write!(f, ")")?;
-                    }
-                    NAtom::Quot { num, den } => write!(f, "({num}/{den})")?,
-                }
-                if *power > 1 {
-                    write!(f, "^{power}")?;
-                }
-            }
-        }
-        Ok(())
-    }
+    })
 }
 
 fn monomial_factors_eq_mod_ctx(a: &NMono, b: &NMono, ctx: &LinCtx) -> bool {
@@ -640,11 +212,11 @@ fn monomial_factors_eq_mod_ctx(a: &NMono, b: &NMono, ctx: &LinCtx) -> bool {
 pub fn atom_eq_mod_ctx(a: &NAtom, b: &NAtom, ctx: &LinCtx) -> bool {
     match (a, b) {
         (
-            NAtom::Load {
+            NAtom::Read {
                 array: a1,
                 indices: i1,
             },
-            NAtom::Load {
+            NAtom::Read {
                 array: a2,
                 indices: i2,
             },
@@ -658,10 +230,12 @@ pub fn atom_eq_mod_ctx(a: &NAtom, b: &NAtom, ctx: &LinCtx) -> bool {
         }
         (NAtom::Var(x), NAtom::Var(y)) => x == y,
         (NAtom::Apply { func: f1, args: x1 }, NAtom::Apply { func: f2, args: x2 }) => {
-            f1 == f2 && x1.len() == x2.len() && x1.iter().zip(x2).all(|(p, q)| p.eq_mod_ctx(q, ctx))
+            f1 == f2
+                && x1.len() == x2.len()
+                && x1.iter().zip(x2).all(|(p, q)| eq_mod_ctx(*p, *q, ctx))
         }
         (NAtom::Quot { num: n1, den: d1 }, NAtom::Quot { num: n2, den: d2 }) => {
-            n1.eq_mod_ctx(n2, ctx) && d1.eq_mod_ctx(d2, ctx)
+            eq_mod_ctx(*n1, *n2, ctx) && eq_mod_ctx(*d1, *d2, ctx)
         }
         _ => false,
     }
@@ -768,10 +342,10 @@ impl SymState {
                 let l = self.norm_data(lhs, ctx)?;
                 let r = self.norm_data(rhs, ctx)?;
                 Ok(match op {
-                    BinOp::Add => l.add(&r),
-                    BinOp::Sub => l.sub(&r),
-                    BinOp::Mul => l.mul(&r),
-                    BinOp::Div => l.div(&r),
+                    BinOp::Add => l + r,
+                    BinOp::Sub => l - r,
+                    BinOp::Mul => l * r,
+                    BinOp::Div => l / r,
                 })
             }
             IrExpr::Call { func, args } => {
@@ -835,7 +409,7 @@ impl SymState {
                 });
             }
         }
-        Ok(NormExpr::load(array, indices.to_vec()))
+        Ok(NormExpr::read(array, indices.to_vec()))
     }
 }
 
@@ -851,10 +425,10 @@ mod tests {
     fn ring_normalization_matches() {
         // 2*(x + b[i]) - x - x == 2*b[i]
         let x = NormExpr::var("x");
-        let b = NormExpr::load("b", vec![aff("i")]);
-        let lhs = NormExpr::constant(2.0).mul(&x.add(&b)).sub(&x).sub(&x);
-        let rhs = NormExpr::constant(2.0).mul(&b);
-        assert!(lhs.approx_eq(&rhs));
+        let b = NormExpr::read("b", vec![aff("i")]);
+        let lhs = NormExpr::constant(2.0) * (x + b) - x - x;
+        let rhs = NormExpr::constant(2.0) * b;
+        assert!(approx_eq(lhs, rhs));
         assert_eq!(lhs, rhs);
     }
 
@@ -880,7 +454,7 @@ mod tests {
         i_minus_1.constant -= 1;
         ctx2.assume_le(&aff("vj"), &i_minus_1);
         let v = state.resolve_load("a", &[aff("vj")], &ctx2).unwrap();
-        assert_eq!(v, NormExpr::load("a", vec![aff("vj")]));
+        assert_eq!(v, NormExpr::read("a", vec![aff("vj")]));
     }
 
     #[test]
@@ -903,7 +477,7 @@ mod tests {
     fn norm_data_uses_real_env_and_int_env() {
         let mut state = SymState::default();
         std::sync::Arc::make_mut(&mut state.real_env)
-            .insert("t".into(), NormExpr::load("b", vec![aff("i")]));
+            .insert("t".into(), NormExpr::read("b", vec![aff("i")]));
         state
             .int_env
             .insert("j".into(), aff("i").add(&Affine::constant(1)));
@@ -911,7 +485,7 @@ mod tests {
         let n = state.norm_data(&e, &LinCtx::new()).unwrap();
         assert_eq!(
             n,
-            NormExpr::load("b", vec![aff("i")]).add(&NormExpr::constant(1.0))
+            NormExpr::read("b", vec![aff("i")]) + NormExpr::constant(1.0)
         );
         // Index normalization honours the int environment.
         let load = IrExpr::Load {
@@ -921,24 +495,23 @@ mod tests {
         let n = state.norm_data(&load, &LinCtx::new()).unwrap();
         assert_eq!(
             n,
-            NormExpr::load("b", vec![aff("i").add(&Affine::constant(1))])
+            NormExpr::read("b", vec![aff("i").add(&Affine::constant(1))])
         );
     }
 
     #[test]
     fn atom_substitution_rewrites_nested_occurrences() {
-        let target = NAtom::Load {
+        let target = NAtom::Read {
             array: "a".into(),
             indices: vec![aff("vi")],
         };
         let expr = NormExpr::atom(NAtom::Apply {
             func: "exp".into(),
             args: vec![NormExpr::atom(target.clone())],
-        })
-        .add(&NormExpr::atom(target.clone()));
-        assert_eq!(expr.loads().len(), 1);
-        let replaced = expr.subst_atom(&target, &NormExpr::var("x"));
-        assert!(replaced.loads().is_empty());
+        }) + NormExpr::atom(target.clone());
+        assert_eq!(expr.reads().len(), 1);
+        let replaced = subst_atom(expr, &target, NormExpr::var("x"));
+        assert!(replaced.reads().is_empty());
         assert!(replaced.to_string().contains("exp(1*x)") || replaced.to_string().contains("exp"));
     }
 
@@ -946,20 +519,20 @@ mod tests {
     fn uninterpreted_functions_respect_congruence_via_normal_form() {
         let a1 = NormExpr::atom(NAtom::Apply {
             func: "exp".into(),
-            args: vec![NormExpr::load("b", vec![aff("i")])],
+            args: vec![NormExpr::read("b", vec![aff("i")])],
         });
         let a2 = NormExpr::atom(NAtom::Apply {
             func: "exp".into(),
-            args: vec![NormExpr::load("b", vec![aff("i")])],
+            args: vec![NormExpr::read("b", vec![aff("i")])],
         });
         assert_eq!(a1, a2);
-        assert!(a1.sub(&a2).approx_eq(&NormExpr::zero()));
+        assert!(approx_eq(a1 - a2, NormExpr::zero()));
     }
 
     #[test]
     fn consed_equality_is_pointer_equality() {
-        let a = NormExpr::var("x").add(&NormExpr::load("b", vec![aff("i")]));
-        let b = NormExpr::load("b", vec![aff("i")]).add(&NormExpr::var("x"));
-        assert!(std::ptr::eq(a.0, b.0));
+        let a = NormExpr::var("x") + NormExpr::read("b", vec![aff("i")]);
+        let b = NormExpr::read("b", vec![aff("i")]) + NormExpr::var("x");
+        assert!(std::ptr::eq(a.terms(), b.terms()));
     }
 }

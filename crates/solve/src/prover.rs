@@ -22,7 +22,7 @@
 //! counterexamples are the bounded checker's job.
 
 use crate::lin::{LinCtx, SplitCase, SPLIT_CASES};
-use crate::norm::{NAtom, NormErr, NormExpr, Store, SymState};
+use crate::norm::{eq_mod_ctx, subst_atom, NAtom, NormErr, NormExpr, Store, SymState};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use stng_intern::guard::Budget;
@@ -116,18 +116,12 @@ impl SmtLite {
 
     /// Verifies a set of VCs; valid only if every one is valid. Returns the
     /// verdict and the total number of proof attempts spent (the case-split
-    /// search effort). Every proof attempt charges the shared [`Budget`]
-    /// (attempt pool + wall-clock deadline). Exhaustion yields
+    /// search effort), and counts each attempted obligation into the
+    /// kernel's [`ProverSession`]. Every proof attempt charges the shared
+    /// [`Budget`] (attempt pool + wall-clock deadline). Exhaustion yields
     /// `Verdict::Unknown` — sound but incomplete, exactly like the prover's
     /// own internal limits; the caller distinguishes the cases via
     /// [`Budget::exhausted`].
-    pub fn verify_all_governed(&self, vcs: &[Vc], budget: &Budget) -> (Verdict, usize) {
-        self.verify_all_with(vcs, budget, None, false)
-    }
-
-    /// [`SmtLite::verify_all_governed`] that also counts the obligations it
-    /// attempts into the kernel's [`ProverSession`]. Same verdicts, same
-    /// attempts, same charges.
     pub fn verify_all_session(
         &self,
         vcs: &[Vc],
@@ -139,8 +133,8 @@ impl SmtLite {
 
     /// Oracle verification: identical logic, but every [`LinCtx`] runs the
     /// original tree-walking Fourier–Motzkin with no verdict memo or learned
-    /// cores. The corpus-wide differential test pins
-    /// `verify_all_session` ≡ `verify_all_governed` ≡ this.
+    /// cores. The corpus-wide differential test pins `verify_all_session`
+    /// ≡ this (verdicts, attempts and exhaustion class).
     pub fn verify_all_legacy(&self, vcs: &[Vc], budget: &Budget) -> (Verdict, usize) {
         self.verify_all_with(vcs, budget, None, true)
     }
@@ -528,7 +522,7 @@ impl<'a> ProofSession<'a> {
     /// pre-state reads of output arrays through the quantified hypotheses
     /// (quantifier instantiation at the read's own index vector).
     fn data_eq(&mut self, lhs: &NormExpr, rhs: &NormExpr, ctx: &LinCtx) -> bool {
-        if lhs.eq_mod_ctx(rhs, ctx) {
+        if eq_mod_ctx(*lhs, *rhs, ctx) {
             return true;
         }
         let mut l = *lhs;
@@ -536,19 +530,18 @@ impl<'a> ProofSession<'a> {
         for _ in 0..4 {
             let mut changed = false;
             for side in [&mut l, &mut r] {
-                let loads = side.loads();
-                for (array, indices) in loads {
+                for (array, indices) in side.reads() {
                     if let Some(replacement) = self.rewrite_via_hypotheses(array, indices, ctx) {
-                        let atom = NAtom::Load {
+                        let atom = NAtom::Read {
                             array,
                             indices: indices.to_vec(),
                         };
-                        *side = side.subst_atom(&atom, &replacement);
+                        *side = subst_atom(*side, &atom, replacement);
                         changed = true;
                     }
                 }
             }
-            if l.eq_mod_ctx(&r, ctx) {
+            if eq_mod_ctx(l, r, ctx) {
                 return true;
             }
             if !changed {
@@ -657,17 +650,15 @@ mod tests {
     use stng_pred::fixtures;
     use stng_pred::vcgen::{analyze_loop_nest, generate_vcs};
 
-    /// Verifies one VC through the memo-free entry point.
+    /// Verifies one VC in a fresh session.
     fn verify_one(vc: &Vc) -> Verdict {
-        SmtLite::new()
-            .verify_all_governed(std::slice::from_ref(vc), &Budget::unlimited())
-            .0
+        verify_set(std::slice::from_ref(vc))
     }
 
-    /// Verifies a VC set through the memo-free entry point.
+    /// Verifies a VC set in a fresh session.
     fn verify_set(vcs: &[Vc]) -> Verdict {
         SmtLite::new()
-            .verify_all_governed(vcs, &Budget::unlimited())
+            .verify_all_session(vcs, &Budget::unlimited(), &ProverSession::new())
             .0
     }
 
@@ -772,17 +763,14 @@ mod tests {
         assert_eq!(spent_warm, spent);
         assert_eq!(session.misses(), 2 * spent as u64);
         assert_eq!(session.hits(), 0);
-        assert_eq!(
-            prover.verify_all_governed(&vcs, &Budget::unlimited()),
-            (cold, spent)
-        );
     }
 
     #[test]
     fn legacy_oracle_agrees_on_the_running_example() {
         let vcs = running_example_vcs();
         let prover = SmtLite::new();
-        let (compiled, _) = prover.verify_all_governed(&vcs, &Budget::unlimited());
+        let (compiled, _) =
+            prover.verify_all_session(&vcs, &Budget::unlimited(), &ProverSession::new());
         let (legacy, _) = prover.verify_all_legacy(&vcs, &Budget::unlimited());
         assert_eq!(compiled, legacy);
         assert!(legacy.is_valid());

@@ -278,20 +278,13 @@ impl DiffOracle for CompiledProving {
                 );
                 check.cases += 1;
                 let (legacy, la) = prover.verify_all_legacy(&vcs, &Budget::unlimited());
-                let (compiled, ca) = prover.verify_all_governed(&vcs, &Budget::unlimited());
-                if compiled != legacy || ca != la {
-                    check.fail(format!(
-                        "{name}/{family}: compiled ({compiled:?}, {ca}) vs \
-                         legacy ({legacy:?}, {la})"
-                    ));
-                    continue;
-                }
                 let session = ProverSession::new();
-                let (counted, sa) = prover.verify_all_session(&vcs, &Budget::unlimited(), &session);
-                if counted != legacy || sa != ca || session.misses() != sa as u64 {
+                let (compiled, ca) =
+                    prover.verify_all_session(&vcs, &Budget::unlimited(), &session);
+                if compiled != legacy || ca != la || session.misses() != ca as u64 {
                     check.fail(format!(
-                        "{name}/{family}: session ({counted:?}, {sa} attempts, {} \
-                         counted) vs compiled ({compiled:?}, {ca})",
+                        "{name}/{family}: compiled ({compiled:?}, {ca} attempts, {} \
+                         counted) vs legacy ({legacy:?}, {la})",
                         session.misses()
                     ));
                     continue;
@@ -318,7 +311,7 @@ impl DiffOracle for CompiledProving {
             let lb = Budget::limited(None, Some(attempts), None);
             let (lv, la) = prover.verify_all_legacy(&vcs, &lb);
             let cb = Budget::limited(None, Some(attempts), None);
-            let (cv, ca) = prover.verify_all_governed(&vcs, &cb);
+            let (cv, ca) = prover.verify_all_session(&vcs, &cb, &ProverSession::new());
             if lv != cv || la != ca || lb.exhausted() != cb.exhausted() {
                 check.fail(format!(
                     "governed@{attempts}: legacy ({lv:?}, {la}, {:?}) vs \
