@@ -38,12 +38,13 @@
 //! bounded-phase gate from BENCH_8) served their purpose and are retired;
 //! both phases stay covered by the 5% total-time gate.
 //!
-//! The JSON is emitted by hand (no serde in the offline build environment);
+//! The snapshot is a `stng_obs::json` value printed indented, and earlier
+//! snapshots are read back with the same parser (`stng_bench::read_snapshot`);
 //! the schema is flat and stable on purpose.
 
-use std::fmt::Write as _;
 use std::time::Instant;
-use stng_bench::bench_stng;
+use stng::obs::json::{nu, nu64, obj, s, Json};
+use stng_bench::{bench_stng, read_snapshot};
 use stng_corpus::all_kernels;
 use stng_service::batch::{run_batch, BatchOptions};
 
@@ -156,72 +157,43 @@ fn measure_ungoverned_total() -> f64 {
     total_ms
 }
 
-fn kernels_json(rows: &[KernelMeasurement]) -> String {
-    let mut out = String::from("{");
-    for (k, row) in rows.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        write!(
-            out,
-            "\n    \"{}\": {{\"suite\": \"{}\", \"lift_ms\": {:.3}, \"translated\": {}, \
-             \"soundly_verified\": {}, \"cegis_iterations\": {}, \"prover_attempts\": {}, \
-             \"peak_candidates\": {}, \"control_bits\": {}, \"postcond_nodes\": {}, \
-             \"capture_ms\": {:.3}, \"bounded_ms\": {:.3}, \"prove_ms\": {:.3}, \
-             \"captures\": {}, \"oblig_hits\": {}, \"oblig_misses\": {}, \
-             \"core_hits\": {}, \"screened\": {}, \"survivors\": {}, \
-             \"batch_scans\": {}}}",
-            row.name,
-            row.suite,
-            row.lift_ms,
-            row.translated,
-            row.soundly_verified,
-            row.cegis_iterations,
-            row.prover_attempts,
-            row.peak_candidates,
-            row.control_bits,
-            row.postcond_nodes,
-            row.capture_ms,
-            row.bounded_ms,
-            row.prove_ms,
-            row.captures,
-            row.oblig_hits,
-            row.oblig_misses,
-            row.core_hits,
-            row.screened,
-            row.survivors,
-            row.batch_scans,
-        )
-        .expect("writing to a String cannot fail");
-    }
-    out.push_str("\n  }");
-    out
+/// A measured value rounded to `places` decimals: the snapshot keeps the
+/// precision the measurement has, not every digit of the float.
+fn fixed(value: f64, places: i32) -> Json {
+    let scale = 10f64.powi(places);
+    Json::Num((value * scale).round() / scale)
 }
 
-/// Extracts `"total_lift_ms": <number>` from a previously written snapshot.
-fn parse_total(json: &str) -> Option<f64> {
-    let key = "\"total_lift_ms\": ";
-    let at = json.find(key)? + key.len();
-    let rest = &json[at..];
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
-/// Names of the kernels recorded as translated in a previous snapshot (one
-/// `"name": {… "translated": true …}` entry per line, as this emitter
-/// writes them).
-fn previously_lifting(json: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let line = line.trim_start();
-        if !line.starts_with('"') || !line.contains("\"translated\": true") {
-            continue;
-        }
-        if let Some(name) = line[1..].split('"').next() {
-            out.push(name.to_string());
-        }
-    }
-    out
+/// The per-kernel table, keyed by kernel name in corpus order.
+fn kernel_table(rows: &[KernelMeasurement]) -> Json {
+    Json::Obj(
+        rows.iter()
+            .map(|row| {
+                let fields = obj(vec![
+                    ("suite", s(row.suite)),
+                    ("lift_ms", fixed(row.lift_ms, 3)),
+                    ("translated", Json::Bool(row.translated)),
+                    ("soundly_verified", Json::Bool(row.soundly_verified)),
+                    ("cegis_iterations", nu(row.cegis_iterations)),
+                    ("prover_attempts", nu(row.prover_attempts)),
+                    ("peak_candidates", nu(row.peak_candidates)),
+                    ("control_bits", nu(row.control_bits)),
+                    ("postcond_nodes", nu(row.postcond_nodes)),
+                    ("capture_ms", fixed(row.capture_ms, 3)),
+                    ("bounded_ms", fixed(row.bounded_ms, 3)),
+                    ("prove_ms", fixed(row.prove_ms, 3)),
+                    ("captures", nu(row.captures)),
+                    ("oblig_hits", nu64(row.oblig_hits)),
+                    ("oblig_misses", nu64(row.oblig_misses)),
+                    ("core_hits", nu64(row.core_hits)),
+                    ("screened", nu64(row.screened)),
+                    ("survivors", nu64(row.survivors)),
+                    ("batch_scans", nu64(row.batch_scans)),
+                ]);
+                (row.name.clone(), fields)
+            })
+            .collect(),
+    )
 }
 
 /// Cold-vs-warm measurement of the fingerprint cache over the full corpus.
@@ -297,16 +269,23 @@ fn main() {
         (gov_overhead - 1.0) * 100.0
     );
 
-    let snapshot = format!(
-        "{{\n  \"schema\": 1,\n  \"total_lift_ms\": {:.3},\n  \"translated\": {},\n  \"kernels\": {}\n}}\n",
-        total_ms,
-        rows.iter().filter(|r| r.translated).count(),
-        kernels_json(&rows)
-    );
+    // The head every snapshot shares; `BENCH_baseline.json` is exactly this.
+    let mut snapshot = vec![
+        ("schema", nu(1)),
+        ("total_lift_ms", fixed(total_ms, 3)),
+        (
+            "translated",
+            nu(rows.iter().filter(|r| r.translated).count()),
+        ),
+        ("kernels", kernel_table(&rows)),
+    ];
 
     if std::env::var("BENCH_SAVE_BASELINE").is_ok() {
-        std::fs::write(root.join("BENCH_baseline.json"), &snapshot)
-            .expect("BENCH_baseline.json is writable");
+        std::fs::write(
+            root.join("BENCH_baseline.json"),
+            obj(snapshot.clone()).pretty(),
+        )
+        .expect("BENCH_baseline.json is writable");
         println!("wrote BENCH_baseline.json (total {total_ms:.1} ms)");
     }
 
@@ -344,15 +323,6 @@ fn main() {
     );
 
     let baseline = std::fs::read_to_string(root.join("BENCH_baseline.json")).ok();
-    let mut out = String::from("{\n  \"schema\": 1,\n");
-    write!(
-        out,
-        "  \"total_lift_ms\": {:.3},\n  \"translated\": {},\n  \"kernels\": {},\n",
-        total_ms,
-        rows.iter().filter(|r| r.translated).count(),
-        kernels_json(&rows)
-    )
-    .expect("writing to a String cannot fail");
     // Phase breakdown: where checking time goes across the whole corpus,
     // plus the compiled-proving counters (obligation memo and learned-core
     // hits) that explain the prove column.
@@ -368,15 +338,20 @@ fn main() {
         rows.iter().fold((0, 0, 0), |(s, v, b), r| {
             (s + r.screened, v + r.survivors, b + r.batch_scans)
         });
-    writeln!(
-        out,
-        "  \"phases\": {{\"capture_ms\": {cap_total:.3}, \"bounded_ms\": {bounded_total:.3}, \
-         \"prove_ms\": {prove_total:.3}, \"oblig_hits\": {hits_total}, \
-         \"oblig_misses\": {misses_total}, \"core_hits\": {cores_total}, \
-         \"screened\": {screened_total}, \"survivors\": {survivors_total}, \
-         \"batch_scans\": {bscans_total}}},",
-    )
-    .expect("writing to a String cannot fail");
+    snapshot.push((
+        "phases",
+        obj(vec![
+            ("capture_ms", fixed(cap_total, 3)),
+            ("bounded_ms", fixed(bounded_total, 3)),
+            ("prove_ms", fixed(prove_total, 3)),
+            ("oblig_hits", nu64(hits_total)),
+            ("oblig_misses", nu64(misses_total)),
+            ("core_hits", nu64(cores_total)),
+            ("screened", nu64(screened_total)),
+            ("survivors", nu64(survivors_total)),
+            ("batch_scans", nu64(bscans_total)),
+        ]),
+    ));
     println!(
         "phase breakdown: capture {cap_total:.1} ms, bounded check {bounded_total:.1} ms, \
          prove {prove_total:.1} ms (of {total_ms:.1} ms total)"
@@ -391,46 +366,47 @@ fn main() {
          to the prover ({:.1}% killed), {bscans_total} batched sweeps",
         (1.0 - survivors_total as f64 / (screened_total as f64).max(1.0)) * 100.0
     );
-    writeln!(
-        out,
-        "  \"cache\": {{\"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"warm_speedup\": {:.1}, \
-         \"warm_hit_rate\": {:.4}, \"cold_dedup_hits\": {}, \"parity\": {}}},",
-        cache.cold_ms,
-        cache.warm_ms,
-        cache.cold_ms / cache.warm_ms,
-        cache.warm_hit_rate,
-        cache.cold_dedup_hits,
-        cache.parity,
-    )
-    .expect("writing to a String cannot fail");
-    writeln!(
-        out,
-        "  \"obs\": {{\"disarmed_total_ms\": {total_ms:.3}, \
-         \"armed_total_ms\": {armed_total_ms:.3}, \"overhead_ratio\": {obs_overhead:.4}}},",
-    )
-    .expect("writing to a String cannot fail");
-    writeln!(
-        out,
-        "  \"governance\": {{\"ungoverned_total_ms\": {ungoverned_total_ms:.3}, \
-         \"governed_total_ms\": {total_ms:.3}, \"overhead_ratio\": {gov_overhead:.4}}},",
-    )
-    .expect("writing to a String cannot fail");
-    writeln!(
-        out,
-        "  \"verify\": {{\"quick_wall_s\": {verify_s:.3}, \"cases\": {}, \"failures\": {}}},",
-        verify_report.total_cases(),
-        verify_report.total_failures()
-    )
-    .expect("writing to a String cannot fail");
+    snapshot.extend([
+        (
+            "cache",
+            obj(vec![
+                ("cold_ms", fixed(cache.cold_ms, 3)),
+                ("warm_ms", fixed(cache.warm_ms, 3)),
+                ("warm_speedup", fixed(cache.cold_ms / cache.warm_ms, 1)),
+                ("warm_hit_rate", fixed(cache.warm_hit_rate, 4)),
+                ("cold_dedup_hits", nu64(cache.cold_dedup_hits)),
+                ("parity", Json::Bool(cache.parity)),
+            ]),
+        ),
+        (
+            "obs",
+            obj(vec![
+                ("disarmed_total_ms", fixed(total_ms, 3)),
+                ("armed_total_ms", fixed(armed_total_ms, 3)),
+                ("overhead_ratio", fixed(obs_overhead, 4)),
+            ]),
+        ),
+        (
+            "governance",
+            obj(vec![
+                ("ungoverned_total_ms", fixed(ungoverned_total_ms, 3)),
+                ("governed_total_ms", fixed(total_ms, 3)),
+                ("overhead_ratio", fixed(gov_overhead, 4)),
+            ]),
+        ),
+        (
+            "verify",
+            obj(vec![
+                ("quick_wall_s", fixed(verify_s, 3)),
+                ("cases", nu64(verify_report.total_cases())),
+                ("failures", nu64(verify_report.total_failures())),
+            ]),
+        ),
+    ]);
     if let Some(base) = &baseline {
-        let base_total = parse_total(base).unwrap_or(f64::NAN);
-        write!(
-            out,
-            "  \"baseline_total_lift_ms\": {:.3},\n  \"speedup_vs_baseline\": {:.3},\n",
-            base_total,
-            base_total / total_ms
-        )
-        .expect("writing to a String cannot fail");
+        let base_total = read_snapshot(base).map_or(f64::NAN, |b| b.total_lift_ms);
+        snapshot.push(("baseline_total_lift_ms", fixed(base_total, 3)));
+        snapshot.push(("speedup_vs_baseline", fixed(base_total / total_ms, 3)));
         println!(
             "end-to-end lifting: {total_ms:.1} ms vs baseline {base_total:.1} ms \
              ({:.2}x speedup)",
@@ -439,8 +415,9 @@ fn main() {
     } else {
         println!("end-to-end lifting: {total_ms:.1} ms (no baseline snapshot found)");
     }
-    out.push_str("  \"source\": \"cargo bench --bench bench_json\"\n}\n");
-    std::fs::write(root.join("BENCH_9.json"), out).expect("BENCH_9.json is writable");
+    snapshot.push(("source", s("cargo bench --bench bench_json")));
+    std::fs::write(root.join("BENCH_9.json"), obj(snapshot).pretty())
+        .expect("BENCH_9.json is writable");
     println!("wrote BENCH_9.json");
 
     let mut failed = false;
@@ -451,8 +428,13 @@ fn main() {
     // wall-clock totals are only comparable within one run. (Both overhead
     // gates — observability and governance — are within-run ratios for
     // exactly this reason.)
-    if let Ok(prior) = std::fs::read_to_string(root.join("BENCH_8.json")) {
-        let must_lift = previously_lifting(&prior);
+    let prior = std::fs::read_to_string(root.join("BENCH_8.json")).map(|text| read_snapshot(&text));
+    if let Ok(Err(e)) = &prior {
+        eprintln!("LIFTING REGRESSION GATE BROKEN: BENCH_8.json does not parse: {e}");
+        failed = true;
+    }
+    if let Ok(Ok(prior)) = prior {
+        let must_lift = prior.translated;
         let regressed: Vec<&String> = must_lift
             .iter()
             .filter(|name| !rows.iter().any(|r| &&r.name == name && r.translated))
@@ -468,13 +450,12 @@ fn main() {
                 must_lift.len()
             );
         }
-        if let Some(prior_total) = parse_total(&prior) {
-            println!(
-                "cross-snapshot drift (informational): governed corpus {total_ms:.1} ms vs \
-                 prior snapshot's {prior_total:.1} ms ({:+.1}%)",
-                (total_ms / prior_total - 1.0) * 100.0
-            );
-        }
+        let prior_total = prior.total_lift_ms;
+        println!(
+            "cross-snapshot drift (informational): governed corpus {total_ms:.1} ms vs \
+             prior snapshot's {prior_total:.1} ms ({:+.1}%)",
+            (total_ms / prior_total - 1.0) * 100.0
+        );
         // The adaptive bounded 1.5× bounded-phase gate from BENCH_8 is
         // retired here, following the BENCH_6 prove-phase precedent: a
         // one-shot speedup gate proves the optimization landed, then turns

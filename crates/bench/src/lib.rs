@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
+use stng::obs::json::Json;
 use stng::pipeline::{KernelOutcome, KernelReport, Stng};
 use stng::translate::StencilSummary;
 use stng_corpus::CorpusKernel;
@@ -271,10 +272,93 @@ pub fn bench_stng() -> Stng {
     stng
 }
 
+/// What the regression gates read back from an earlier `BENCH_N.json` (or
+/// `BENCH_baseline.json`) snapshot.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Snapshot {
+    /// Corpus-wide lift time the snapshot recorded.
+    pub total_lift_ms: f64,
+    /// Kernels the snapshot recorded as translated, in file order.
+    pub translated: Vec<String>,
+}
+
+/// Parses a snapshot written by `bench_json`.
+///
+/// # Errors
+///
+/// Returns a message when the text is not JSON or lacks `total_lift_ms` or
+/// the `kernels` object.
+pub fn read_snapshot(text: &str) -> Result<Snapshot, String> {
+    let doc = Json::parse(text)?;
+    let total_lift_ms = doc
+        .get("total_lift_ms")
+        .and_then(Json::as_f64)
+        .ok_or("snapshot has no numeric total_lift_ms")?;
+    let Some(Json::Obj(kernels)) = doc.get("kernels") else {
+        return Err("snapshot has no kernels object".to_string());
+    };
+    let translated = kernels
+        .iter()
+        .filter(|(_, row)| row.get("translated").and_then(Json::as_bool) == Some(true))
+        .map(|(name, _)| name.clone())
+        .collect();
+    Ok(Snapshot {
+        total_lift_ms,
+        translated,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use stng_corpus::{suite_kernels, Suite};
+
+    #[test]
+    fn bench_8_snapshot_lists_its_25_translated_kernels() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json");
+        let text = std::fs::read_to_string(path).expect("BENCH_8.json is committed");
+        let snapshot = read_snapshot(&text).expect("BENCH_8.json parses");
+        assert_eq!(snapshot.total_lift_ms, 376.841);
+        let expected = [
+            "heat0",
+            "heat0_renamed",
+            "div0",
+            "grad0",
+            "lap0",
+            "mg_resid",
+            "akl81",
+            "akl83",
+            "akl84",
+            "fckl89",
+            "gckl77",
+            "terra_conv",
+            "geomet0",
+            "geomet1",
+            "geomet2",
+            "calcph0",
+            "simple0",
+            "meclfu0",
+            "initial0",
+            "heat27",
+            "heat27t",
+            "heat27u",
+            "heat1s2",
+            "jac2s2",
+            "jac2s2_ws",
+        ];
+        assert_eq!(snapshot.translated, expected);
+    }
+
+    #[test]
+    fn snapshots_without_totals_or_kernels_are_errors() {
+        assert!(read_snapshot("{\"kernels\": {}}").is_err());
+        assert!(read_snapshot("{\"total_lift_ms\": 1}").is_err());
+        assert!(read_snapshot("not json").is_err());
+        let one = r#"{"total_lift_ms": 2.5, "kernels": {"a": {"translated": false}, "b\"c": {"translated": true}}}"#;
+        let snapshot = read_snapshot(one).unwrap();
+        assert_eq!(snapshot.total_lift_ms, 2.5);
+        assert_eq!(snapshot.translated, vec!["b\"c".to_string()]);
+    }
 
     #[test]
     fn table1_row_for_a_stencilmark_kernel_has_sane_shape() {

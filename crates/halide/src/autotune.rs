@@ -49,7 +49,7 @@ impl Default for Autotuner {
     }
 }
 
-const ARMS: usize = 4;
+const ARMS: usize = 2;
 
 impl Autotuner {
     /// Creates an autotuner with the given evaluation budget.
@@ -130,16 +130,10 @@ fn mutate(base: &Schedule, arm: usize, rank: usize, threads: usize, rng: &mut St
                 s.tile[dim] = sizes[rng.gen_range(0..sizes.len())];
             }
         }
-        1 => {
+        _ => {
             // Toggle / resize parallelism.
             s.parallel = !s.parallel || rng.gen_bool(0.5);
             s.threads = [1, 2, 4, 8, threads.max(1)][rng.gen_range(0..5)];
-        }
-        2 => {
-            s.vectorize = [1, 2, 4, 8][rng.gen_range(0..4)];
-        }
-        _ => {
-            s.unroll = [1, 2, 4][rng.gen_range(0..3)];
         }
     }
     s

@@ -121,17 +121,29 @@ impl Buffer {
     /// On a strided buffer the index is additionally snapped down to the
     /// nearest stored progression point, so halo reads never miss.
     pub fn get_clamped(&self, indices: &[i64]) -> f64 {
-        let clamped: Vec<i64> = indices
-            .iter()
-            .enumerate()
-            .map(|(d, &ix)| {
-                let step = self.step[d];
-                let hi = self.origin[d] + (self.extent[d] as i64 - 1) * step;
-                let ix = ix.max(self.origin[d]).min(hi);
-                self.origin[d] + ((ix - self.origin[d]) / step) * step
-            })
-            .collect();
-        self.get(&clamped).unwrap_or(0.0)
+        self.clamped_offset(indices.iter().copied())
+            .map_or(0.0, |at| self.data[at])
+    }
+
+    /// The flat offset [`Buffer::get_clamped`] reads, computed without
+    /// allocating: each index is clamped into its dimension and snapped
+    /// down to a stored point. `None` when the rank differs or the buffer
+    /// is empty.
+    pub fn clamped_offset(&self, indices: impl ExactSizeIterator<Item = i64>) -> Option<usize> {
+        if indices.len() != self.rank() {
+            return None;
+        }
+        let mut off = 0usize;
+        for (d, ix) in indices.enumerate() {
+            let (origin, step, extent) = (self.origin[d], self.step[d], self.extent[d]);
+            if extent == 0 {
+                return None;
+            }
+            let hi = origin + (extent as i64 - 1) * step;
+            let packed = (ix.max(origin).min(hi) - origin) / step;
+            off = off * extent + packed as usize;
+        }
+        Some(off)
     }
 
     /// Writes the element at a logical index; returns `false` when out of

@@ -61,38 +61,47 @@ pub enum HExpr {
 }
 
 impl HExpr {
-    /// Evaluates the expression at a grid point.
-    pub fn eval(
-        &self,
-        point: &[i64],
-        inputs: &HashMap<String, &Buffer>,
+    /// Resolves every image to its buffer and every parameter to its value,
+    /// once per realization, so evaluation neither hashes nor allocates. A
+    /// missing image or parameter resolves to the constant 0.
+    pub(crate) fn resolve<'a>(
+        &'a self,
+        inputs: &HashMap<String, &'a Buffer>,
         params: &HashMap<String, f64>,
-    ) -> f64 {
+    ) -> Resolved<'a> {
+        let pair = |a: &'a HExpr, b: &'a HExpr| {
+            (
+                Box::new(a.resolve(inputs, params)),
+                Box::new(b.resolve(inputs, params)),
+            )
+        };
         match self {
-            HExpr::Const(v) => *v,
-            HExpr::Param(name) => params.get(name).copied().unwrap_or(0.0),
-            HExpr::Input { image, index } => {
-                let idx: Vec<i64> = index.iter().map(|ix| ix.eval(point)).collect();
-                inputs
-                    .get(image)
-                    .map(|buf| buf.get_clamped(&idx))
-                    .unwrap_or(0.0)
+            HExpr::Const(v) => Resolved::Const(*v),
+            HExpr::Param(name) => Resolved::Const(params.get(name).copied().unwrap_or(0.0)),
+            HExpr::Input { image, index } => match inputs.get(image) {
+                Some(&buffer) => Resolved::Read { buffer, index },
+                None => Resolved::Const(0.0),
+            },
+            HExpr::Add(a, b) => {
+                let (a, b) = pair(a, b);
+                Resolved::Add(a, b)
             }
-            HExpr::Add(a, b) => a.eval(point, inputs, params) + b.eval(point, inputs, params),
-            HExpr::Sub(a, b) => a.eval(point, inputs, params) - b.eval(point, inputs, params),
-            HExpr::Mul(a, b) => a.eval(point, inputs, params) * b.eval(point, inputs, params),
+            HExpr::Sub(a, b) => {
+                let (a, b) = pair(a, b);
+                Resolved::Sub(a, b)
+            }
+            HExpr::Mul(a, b) => {
+                let (a, b) = pair(a, b);
+                Resolved::Mul(a, b)
+            }
             HExpr::Div(a, b) => {
-                let d = b.eval(point, inputs, params);
-                if d == 0.0 {
-                    0.0
-                } else {
-                    a.eval(point, inputs, params) / d
-                }
+                let (a, b) = pair(a, b);
+                Resolved::Div(a, b)
             }
-            HExpr::Call { name, args } => {
-                let vals: Vec<f64> = args.iter().map(|a| a.eval(point, inputs, params)).collect();
-                apply_intrinsic(name, &vals)
-            }
+            HExpr::Call { name, args } => Resolved::Call {
+                name,
+                args: args.iter().map(|a| a.resolve(inputs, params)).collect(),
+            },
         }
     }
 
@@ -139,6 +148,60 @@ impl HExpr {
         }
         go(self, &mut out);
         out
+    }
+}
+
+/// An [`HExpr`] bound to one realization's buffers and parameter values.
+pub(crate) enum Resolved<'a> {
+    Const(f64),
+    Read {
+        buffer: &'a Buffer,
+        index: &'a [HIndex],
+    },
+    Add(Box<Resolved<'a>>, Box<Resolved<'a>>),
+    Sub(Box<Resolved<'a>>, Box<Resolved<'a>>),
+    Mul(Box<Resolved<'a>>, Box<Resolved<'a>>),
+    Div(Box<Resolved<'a>>, Box<Resolved<'a>>),
+    Call {
+        name: &'a str,
+        args: Vec<Resolved<'a>>,
+    },
+}
+
+impl Resolved<'_> {
+    /// Evaluates at a grid point. Reads clamp to the buffer (see
+    /// [`Buffer::get_clamped`]); division by zero and unknown intrinsics
+    /// give 0.
+    pub(crate) fn eval(&self, point: &[i64]) -> f64 {
+        match self {
+            Resolved::Const(v) => *v,
+            Resolved::Read { buffer, index } => buffer
+                .clamped_offset(index.iter().map(|ix| ix.eval(point)))
+                .map_or(0.0, |at| buffer.data[at]),
+            Resolved::Add(a, b) => a.eval(point) + b.eval(point),
+            Resolved::Sub(a, b) => a.eval(point) - b.eval(point),
+            Resolved::Mul(a, b) => a.eval(point) * b.eval(point),
+            Resolved::Div(a, b) => {
+                let d = b.eval(point);
+                if d == 0.0 {
+                    0.0
+                } else {
+                    a.eval(point) / d
+                }
+            }
+            Resolved::Call { name, args } => {
+                // Every intrinsic takes one or two arguments; more is an
+                // unknown call, which gives 0 like any other.
+                let mut vals = [0.0; 2];
+                if args.len() > vals.len() {
+                    return 0.0;
+                }
+                for (v, a) in vals.iter_mut().zip(args) {
+                    *v = a.eval(point);
+                }
+                apply_intrinsic(name, &vals[..args.len()])
+            }
+        }
     }
 }
 
@@ -285,8 +348,7 @@ mod tests {
         let b = Buffer::from_fn(vec![0, 0], vec![4, 4], |ix| (ix[0] + 10 * ix[1]) as f64);
         let mut inputs = HashMap::new();
         inputs.insert("b".to_string(), &b);
-        let params = HashMap::new();
-        let v = func.expr.eval(&[2, 3], &inputs, &params);
+        let v = func.expr.resolve(&inputs, &HashMap::new()).eval(&[2, 3]);
         assert_eq!(v, (1 + 30) as f64 + (2 + 30) as f64);
         assert_eq!(func.work_per_point(), 3);
         assert_eq!(func.expr.images(), vec!["b".to_string()]);

@@ -9,8 +9,8 @@
 //! * [`func`] — the algorithm language: pure functions over grid coordinates
 //!   reading input images at constant offsets ([`func::Func`], [`func::HExpr`]),
 //! * [`buffer`] — multidimensional buffers with logical origins,
-//! * [`schedule`] — the scheduling directives (tiling, parallelization,
-//!   vectorization, unrolling) and the CPU runtime that honours them,
+//! * [`schedule`] — the scheduling directives (tiling, parallelization) and
+//!   the CPU runtime that honours them,
 //! * [`gpu`] — an analytic GPU device model (kernel launch + memory traffic +
 //!   PCIe transfer) used for the portability study of §6.4,
 //! * [`autotune`] — an OpenTuner-style autotuner: an ensemble of schedule

@@ -1,15 +1,13 @@
 //! Schedules and the CPU runtime that executes a [`Func`] under a schedule.
 //!
-//! The schedule language covers the directives the paper's autotuner
-//! explores: loop tiling, parallelization of the outermost (tile) loop,
-//! vectorization and unrolling of the innermost loop. The runtime honours
-//! tiling and parallelism directly (tiles are distributed over scoped worker
-//! threads); vectorization and unrolling are executed as innermost chunked
-//! loops, which mainly affects memory-access order — the same first-order
-//! effect they have in Halide.
+//! The schedule language covers the directives this runtime can honour:
+//! loop tiling and parallelization of the outermost loop (bands of it are
+//! distributed over scoped worker threads). The expression is resolved
+//! against its buffers and parameters once per [`realize`] call, so the
+//! per-point work is arithmetic and clamped reads only.
 
 use crate::buffer::Buffer;
-use crate::func::Func;
+use crate::func::{Func, Resolved};
 use std::collections::HashMap;
 
 /// A schedule for one stencil function.
@@ -21,21 +19,15 @@ pub struct Schedule {
     pub parallel: bool,
     /// Number of worker threads when `parallel` is set.
     pub threads: usize,
-    /// Innermost-loop vector width (1 = scalar).
-    pub vectorize: usize,
-    /// Innermost-loop unroll factor.
-    pub unroll: usize,
 }
 
 impl Schedule {
-    /// The default (naive) schedule: no tiling, serial, scalar.
+    /// The default (naive) schedule: no tiling, serial.
     pub fn naive(rank: usize) -> Schedule {
         Schedule {
             tile: vec![1; rank],
             parallel: false,
             threads: 1,
-            vectorize: 1,
-            unroll: 1,
         }
     }
 
@@ -45,16 +37,14 @@ impl Schedule {
             tile: vec![32; rank],
             parallel: true,
             threads,
-            vectorize: 4,
-            unroll: 2,
         }
     }
 
     /// Short human-readable description (autotuner logs, reports).
     pub fn describe(&self) -> String {
         format!(
-            "tile={:?} parallel={} threads={} vectorize={} unroll={}",
-            self.tile, self.parallel, self.threads, self.vectorize, self.unroll
+            "tile={:?} parallel={} threads={}",
+            self.tile, self.parallel, self.threads
         )
     }
 }
@@ -102,6 +92,7 @@ pub fn realize(
     if output.is_empty() {
         return output;
     }
+    let expr = func.expr.resolve(inputs, params);
 
     // Split the outermost dimension into parallel chunks when requested.
     let outer_extent = extent[0];
@@ -112,16 +103,7 @@ pub fn realize(
     };
 
     if workers <= 1 {
-        realize_chunk(
-            func,
-            schedule,
-            region,
-            inputs,
-            params,
-            0,
-            outer_extent,
-            &mut output,
-        );
+        realize_chunk(func, &expr, schedule, region, 0, outer_extent, &mut output);
         return output;
     }
 
@@ -145,11 +127,10 @@ pub fn realize(
             let mut band_extent = extent.clone();
             band_extent[0] = end - start;
             let steps = func.steps.clone();
+            let expr = &expr;
             let handle = scope.spawn(move || {
                 let mut local = Buffer::strided(band_origin, band_extent, steps);
-                realize_chunk(
-                    func, schedule, region, inputs, params, start, end, &mut local,
-                );
+                realize_chunk(func, expr, schedule, region, start, end, &mut local);
                 (start, local.data)
             });
             handles.push(handle);
@@ -170,101 +151,69 @@ pub fn realize(
 /// tiles in the remaining dimensions. All iteration happens in counter
 /// space; logical coordinates are recovered through the function's steps
 /// only at the evaluation site.
-#[allow(clippy::too_many_arguments)]
 fn realize_chunk(
     func: &Func,
+    expr: &Resolved<'_>,
     schedule: &Schedule,
     region: &Region,
-    inputs: &HashMap<String, &Buffer>,
-    params: &HashMap<String, f64>,
     outer_start: usize,
     outer_end: usize,
     output: &mut Buffer,
 ) {
+    if outer_start >= outer_end {
+        return;
+    }
     let rank = func.rank;
     let lo: Vec<i64> = region.iter().map(|(l, _)| *l).collect();
-    // Inclusive trip-count bound per dimension.
-    let trip_hi: Vec<i64> = region
-        .iter()
-        .zip(&func.steps)
-        .map(|((l, h), s)| trip_count(*l, *h, *s) as i64 - 1)
+    // The counter-space box of this band: the outermost dimension is
+    // restricted to the worker's rows, the others span their trip counts.
+    let mut band_lo = vec![0i64; rank];
+    band_lo[0] = outer_start as i64;
+    let band_hi: Vec<i64> = (0..rank)
+        .map(|d| match d {
+            0 => outer_end as i64 - 1,
+            _ => trip_count(region[d].0, region[d].1, func.steps[d]) as i64 - 1,
+        })
         .collect();
     let tile: Vec<i64> = (0..rank)
         .map(|d| schedule.tile.get(d).copied().unwrap_or(1).max(1) as i64)
         .collect();
+    let ones = vec![1i64; rank];
 
-    // Iterate tile origins in counter space; the outermost dimension is
-    // restricted to the worker's band.
-    let band_lo = outer_start as i64;
-    let band_hi = outer_end as i64 - 1;
-    let mut tile_origin: Vec<i64> = vec![0; rank];
-    tile_origin[0] = band_lo;
-    if band_lo > band_hi {
-        return;
-    }
+    let mut tile_origin = band_lo.clone();
     let mut point = vec![0i64; rank];
     loop {
-        // Execute one tile.
         let tile_hi: Vec<i64> = (0..rank)
-            .map(|d| {
-                let top = if d == 0 { band_hi } else { trip_hi[d] };
-                (tile_origin[d] + tile[d] - 1).min(top)
-            })
+            .map(|d| (tile_origin[d] + tile[d] - 1).min(band_hi[d]))
             .collect();
         let mut t = tile_origin.clone();
         loop {
             for d in 0..rank {
                 point[d] = lo[d] + t[d] * func.steps[d];
             }
-            let value = func.expr.eval(&point, inputs, params);
-            output.set(&point, value);
-            // Advance within the tile, innermost fastest (vectorize/unroll
-            // factors only change traversal granularity, which is already
-            // innermost-contiguous here).
-            let mut d = rank;
-            loop {
-                if d == 0 {
-                    break;
-                }
-                d -= 1;
-                t[d] += 1;
-                if t[d] <= tile_hi[d] {
-                    break;
-                }
-                t[d] = tile_origin[d];
-                if d == 0 {
-                    // Tile finished.
-                    break;
-                }
-            }
-            if t == tile_origin {
+            output.set(&point, expr.eval(&point));
+            if !advance(&mut t, &tile_origin, &tile_hi, &ones) {
                 break;
             }
         }
-        // Advance to the next tile.
-        let mut d = rank;
-        let mut done = false;
-        loop {
-            if d == 0 {
-                done = true;
-                break;
-            }
-            d -= 1;
-            tile_origin[d] += tile[d];
-            let top = if d == 0 { band_hi } else { trip_hi[d] };
-            if tile_origin[d] <= top {
-                break;
-            }
-            tile_origin[d] = if d == 0 { band_lo } else { 0 };
-            if d == 0 {
-                done = true;
-                break;
-            }
-        }
-        if done {
+        if !advance(&mut tile_origin, &band_lo, &band_hi, &tile) {
             break;
         }
     }
+}
+
+/// Steps an N-d counter through the box `lo..=hi` by `by` per dimension,
+/// last dimension fastest. Returns `false` (with the counter back at `lo`)
+/// once every point has been visited.
+fn advance(counter: &mut [i64], lo: &[i64], hi: &[i64], by: &[i64]) -> bool {
+    for d in (0..counter.len()).rev() {
+        counter[d] += by[d];
+        if counter[d] <= hi[d] {
+            return true;
+        }
+        counter[d] = lo[d];
+    }
+    false
 }
 
 #[cfg(test)]
@@ -325,8 +274,6 @@ mod tests {
                 tile: vec![4, 5],
                 parallel: false,
                 threads: 1,
-                vectorize: 4,
-                unroll: 2,
             },
             &region,
             &inputs,
@@ -340,8 +287,6 @@ mod tests {
                 tile: vec![3, 8],
                 parallel: true,
                 threads: 4,
-                vectorize: 1,
-                unroll: 1,
             },
             &region,
             &inputs,
@@ -376,8 +321,6 @@ mod tests {
                 tile: vec![4],
                 parallel: true,
                 threads: 3,
-                vectorize: 2,
-                unroll: 1,
             },
         ] {
             let out = realize(&func, &schedule, &region, &inputs, &params);
@@ -391,6 +334,72 @@ mod tests {
             }
             // Unrealized (even) points are not addressable.
             assert_eq!(out.get(&[2]), None);
+        }
+    }
+
+    #[test]
+    fn params_missing_names_division_calls_and_strided_inputs_evaluate() {
+        let read = |image: &str, offset: i64| {
+            Box::new(HExpr::Input {
+                image: image.into(),
+                index: vec![HIndex::VarOffset { var: 0, offset }],
+            })
+        };
+        let call = |name: &str, args: Vec<HExpr>| {
+            Box::new(HExpr::Call {
+                name: name.into(),
+                args,
+            })
+        };
+        let param = |name: &str| Box::new(HExpr::Param(name.into()));
+        let c = |v: f64| Box::new(HExpr::Const(v));
+        // b(x) = x + 1 on 0..8; s stores 10, 20, 30, 40 at x = 0, 2, 4, 6.
+        let b = Buffer::from_fn(vec![0], vec![8], |ix| (ix[0] + 1) as f64);
+        let mut s = Buffer::strided(vec![0], vec![4], vec![2]);
+        for (k, v) in [10.0, 20.0, 30.0, 40.0].into_iter().enumerate() {
+            s.set(&[2 * k as i64], v);
+        }
+        let inputs = HashMap::from([("b".to_string(), &b), ("s".to_string(), &s)]);
+        let params = HashMap::from([("k".to_string(), 2.5)]);
+        let cases: Vec<(HExpr, [f64; 8])> = vec![
+            (
+                HExpr::Mul(param("k"), read("b", 0)),
+                [2.5, 5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0],
+            ),
+            (
+                HExpr::Add(param("absent"), read("b", 0)),
+                [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+            ),
+            (HExpr::Add(read("nope", 0), c(1.0)), [1.0; 8]),
+            (
+                HExpr::Div(
+                    read("b", 0),
+                    Box::new(HExpr::Sub(read("b", 0), read("b", 0))),
+                ),
+                [0.0; 8],
+            ),
+            (
+                HExpr::Div(read("b", 0), c(2.0)),
+                [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0],
+            ),
+            (
+                *call("max", vec![*read("b", -1), HExpr::Const(4.0)]),
+                [4.0, 4.0, 4.0, 4.0, 4.0, 5.0, 6.0, 7.0],
+            ),
+            (*call("frob", vec![*read("b", 0)]), [0.0; 8]),
+            (*call("min", vec![HExpr::Const(1.0); 3]), [0.0; 8]),
+            (
+                *read("s", 1),
+                [10.0, 20.0, 20.0, 30.0, 30.0, 40.0, 40.0, 40.0],
+            ),
+        ];
+        let region: Region = vec![(0, 7)];
+        for (expr, expected) in cases {
+            let func = Func::new("f", 1, expr);
+            for schedule in [Schedule::naive(1), Schedule::default_tuned(1, 2)] {
+                let out = realize(&func, &schedule, &region, &inputs, &params);
+                assert_eq!(out.data, expected, "{} under {schedule:?}", func.expr);
+            }
         }
     }
 

@@ -237,10 +237,6 @@ impl Budget {
         least
     }
 
-    pub fn is_unlimited(&self) -> bool {
-        self.inner.is_none()
-    }
-
     /// Cancel the budget (and transitively everything observing it).
     pub fn cancel(&self) {
         if let Some(inner) = &self.inner {
@@ -357,19 +353,6 @@ impl Budget {
                 _ => return Ok(()),
             }
         }
-    }
-
-    /// Remaining fuel on the nearest fuel-limited budget in the chain
-    /// (`None` if fuel is unlimited). For diagnostics only.
-    pub fn fuel_remaining(&self) -> Option<u64> {
-        let mut cur = self.inner.as_deref();
-        while let Some(inner) = cur {
-            if let Some(c) = &inner.check_fuel {
-                return Some(c.load(Ordering::Relaxed).max(0) as u64);
-            }
-            cur = inner.parent.as_ref().and_then(|p| p.inner.as_deref());
-        }
-        None
     }
 }
 

@@ -42,16 +42,6 @@ impl Procedure {
     pub fn is_array(&self, name: &str) -> bool {
         self.decl(name).map(|d| d.dims.is_some()).unwrap_or(false)
     }
-
-    /// Returns `true` when `name` is declared with integer type (loop
-    /// counters, bounds). Undeclared parameters default to integer, matching
-    /// Fortran implicit conventions for the kernels in our corpus.
-    pub fn is_integer(&self, name: &str) -> bool {
-        match self.decl(name) {
-            Some(d) => d.ty == Type::Integer && d.dims.is_none(),
-            None => self.params.iter().any(|p| p == name),
-        }
-    }
 }
 
 /// Scalar element type of a declaration.

@@ -352,17 +352,6 @@ pub fn liftability_check(kernel: &Kernel) -> std::result::Result<(), String> {
     Ok(())
 }
 
-/// Lowers an annotation-style expression string (used by tests and tools).
-///
-/// # Errors
-///
-/// Propagates parser and lowering errors.
-pub fn lower_expr_str(proc: &Procedure, text: &str) -> Result<IrExpr> {
-    let expr = crate::parser::parse_expr(text)?;
-    let mut ctx = LowerCtx::new(proc);
-    ctx.lower_expr(&expr)
-}
-
 /// Convenience helper used widely by tests, examples, and the corpus: parses
 /// source text, identifies candidates in the *first* procedure, and lowers
 /// the fragment with the given index.

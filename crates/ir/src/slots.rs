@@ -153,24 +153,6 @@ impl SlotMap {
     pub fn array_name(&self, slot: u32) -> String {
         self.inner.read().expect("slot map poisoned").array_names[slot as usize].clone()
     }
-
-    /// Number of registered scalar names.
-    pub fn scalar_count(&self) -> usize {
-        self.inner
-            .read()
-            .expect("slot map poisoned")
-            .scalar_names
-            .len()
-    }
-
-    /// Number of registered array names.
-    pub fn array_count(&self) -> usize {
-        self.inner
-            .read()
-            .expect("slot map poisoned")
-            .array_names
-            .len()
-    }
 }
 
 // ---------------------------------------------------------------- SlotState

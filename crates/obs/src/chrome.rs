@@ -10,8 +10,8 @@
 //! ring closes spans in LIFO order on the thread that opened them.
 //! [`wellformedness`] reports any violation; the nesting tests assert zero.
 
+use crate::json::{n, nu64, obj, s, Json};
 use crate::recorder::{Event, EventKind, ThreadTrace};
-use std::fmt::Write as _;
 
 /// Nesting audit of one thread's ring.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,62 +70,54 @@ pub fn span_details(threads: &[ThreadTrace], name: &str) -> Vec<&'static str> {
         .collect()
 }
 
-fn escaped(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail")
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// One trace event: `ph`, `pid` and `tid`, then `timing`, `name` and the
+/// optional `args` (the format's key order).
+fn trace_event(
+    ph: &str,
+    tid: u64,
+    timing: Vec<(&str, Json)>,
+    name: &str,
+    args: Option<Json>,
+) -> Json {
+    let mut fields = vec![("ph", s(ph)), ("pid", n(1)), ("tid", nu64(tid))];
+    fields.extend(timing);
+    fields.push(("name", s(name)));
+    fields.extend(args.map(|a| ("args", a)));
+    obj(fields)
 }
 
-fn write_args(out: &mut String, detail: Option<&str>, arg: u64) {
-    out.push_str(",\"args\":{");
-    let mut first = true;
-    if let Some(detail) = detail {
-        write!(out, "\"detail\":\"{}\"", escaped(detail)).expect("infallible");
-        first = false;
+/// Recorder nanoseconds in the format's microseconds.
+fn us(ns: u64) -> Json {
+    Json::Num(ns as f64 / 1e3)
+}
+
+/// An event's `args`: the detail symbol and the numeric argument, each only
+/// when present.
+fn args(event: &Event) -> Json {
+    let mut fields = Vec::new();
+    if let Some(detail) = event.detail {
+        fields.push(("detail", s(detail.as_str())));
     }
-    if arg != 0 {
-        if !first {
-            out.push(',');
-        }
-        write!(out, "\"arg\":{arg}").expect("infallible");
+    if event.arg != 0 {
+        fields.push(("arg", nu64(event.arg)));
     }
-    out.push('}');
+    obj(fields)
 }
 
 /// Renders thread traces as a Chrome trace-event JSON document. Spans left
 /// open by a mid-run snapshot are emitted as `"B"` begin events so the
 /// trace still loads; a quiescent export has none.
 pub fn trace_json(threads: &[ThreadTrace]) -> String {
-    let us = |ns: u64| ns as f64 / 1e3;
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut emit = |line: String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str("\n  ");
-        out.push_str(&line);
-    };
+    let mut events = Vec::new();
     for thread in threads {
-        emit(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                thread.tid,
-                escaped(&thread.thread)
-            ),
-            &mut first,
-        );
+        let thread_name = obj(vec![("name", s(&thread.thread))]);
+        events.push(trace_event(
+            "M",
+            thread.tid,
+            vec![],
+            "thread_name",
+            Some(thread_name),
+        ));
         // Match open/close pairs into "X" complete events. The completes
         // are emitted at close time; Perfetto sorts by ts, so order in the
         // array does not matter.
@@ -137,52 +129,41 @@ pub fn trace_json(threads: &[ThreadTrace]) -> String {
                     let Some(open) = stack.pop().filter(|o| o.name == event.name) else {
                         continue; // audited separately by `wellformedness`
                     };
-                    let mut line = format!(
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
-                         \"name\":\"{}\"",
+                    let dur = event.ts_ns.saturating_sub(open.ts_ns);
+                    events.push(trace_event(
+                        "X",
                         thread.tid,
-                        us(open.ts_ns),
-                        us(event.ts_ns.saturating_sub(open.ts_ns)),
-                        escaped(event.name.as_str())
-                    );
-                    write_args(&mut line, event.detail.map(|d| d.as_str()), event.arg);
-                    line.push('}');
-                    emit(line, &mut first);
+                        vec![("ts", us(open.ts_ns)), ("dur", us(dur))],
+                        event.name.as_str(),
+                        Some(args(event)),
+                    ));
                 }
-                EventKind::Instant => {
-                    let mut line = format!(
-                        "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"s\":\"t\",\
-                         \"name\":\"{}\"",
-                        thread.tid,
-                        us(event.ts_ns),
-                        escaped(event.name.as_str())
-                    );
-                    write_args(&mut line, event.detail.map(|d| d.as_str()), event.arg);
-                    line.push('}');
-                    emit(line, &mut first);
-                }
+                EventKind::Instant => events.push(trace_event(
+                    "i",
+                    thread.tid,
+                    vec![("ts", us(event.ts_ns)), ("s", s("t"))],
+                    event.name.as_str(),
+                    Some(args(event)),
+                )),
             }
         }
         for open in stack {
-            emit(
-                format!(
-                    "{{\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"name\":\"{}\"}}",
-                    thread.tid,
-                    us(open.ts_ns),
-                    escaped(open.name.as_str())
-                ),
-                &mut first,
-            );
+            let timing = vec![("ts", us(open.ts_ns))];
+            events.push(trace_event(
+                "B",
+                thread.tid,
+                timing,
+                open.name.as_str(),
+                None,
+            ));
         }
     }
-    out.push_str("\n]}\n");
-    out
+    obj(vec![("traceEvents", Json::Arr(events))]).to_string() + "\n"
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Event, EventKind, ThreadTrace};
     use stng_intern::Symbol;
 
     fn ev(name: &str, kind: EventKind, ts_ns: u64) -> Event {
@@ -204,6 +185,19 @@ mod tests {
         }
     }
 
+    /// The exported document's events, parsed back.
+    fn parsed_events(threads: &[ThreadTrace]) -> Vec<Json> {
+        let doc = Json::parse(&trace_json(threads)).expect("trace is valid JSON");
+        doc.get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("traceEvents")
+            .to_vec()
+    }
+
+    fn field<'a>(event: &'a Json, key: &str) -> Option<&'a str> {
+        event.get(key).and_then(Json::as_str)
+    }
+
     #[test]
     fn matched_spans_export_as_complete_events() {
         let t = trace(vec![
@@ -214,13 +208,20 @@ mod tests {
             ev("outer", EventKind::Close, 4_000),
         ]);
         assert!(wellformedness(&t).is_clean());
-        let json = trace_json(&[t]);
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"name\":\"inner\""));
-        assert!(json.contains("\"dur\":1.000"));
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"thread_name\""));
-        assert!(!json.contains("\"ph\":\"B\""));
+        let events = parsed_events(&[t]);
+        let phase = |ph: &str| events.iter().filter(|e| field(e, "ph") == Some(ph)).count();
+        assert_eq!(phase("X"), 2);
+        let inner = events
+            .iter()
+            .find(|e| field(e, "ph") == Some("X") && field(e, "name") == Some("inner"))
+            .expect("inner span");
+        assert_eq!(inner.get("dur").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(inner.get("ts").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(phase("i"), 1);
+        assert!(events
+            .iter()
+            .any(|e| field(e, "name") == Some("thread_name")));
+        assert_eq!(phase("B"), 0);
     }
 
     #[test]
@@ -234,7 +235,26 @@ mod tests {
         assert_eq!(audit.unmatched_opens, 0);
         let open_only = trace(vec![ev("a", EventKind::Open, 1_000)]);
         assert_eq!(wellformedness(&open_only).unmatched_opens, 1);
-        assert!(trace_json(&[open_only]).contains("\"ph\":\"B\""));
+        let events = parsed_events(&[open_only]);
+        assert!(events.iter().any(|e| field(e, "ph") == Some("B")));
+    }
+
+    #[test]
+    fn names_and_details_with_control_characters_round_trip() {
+        let awkward = "q\"b\\n\nu\u{1}";
+        let mut close = ev(awkward, EventKind::Close, 2_000);
+        close.detail = Some(Symbol::intern(awkward));
+        close.arg = 7;
+        let mut t = trace(vec![ev(awkward, EventKind::Open, 1_000), close]);
+        t.thread = awkward.to_string();
+        let events = parsed_events(&[t]);
+        let thread = events[0].get("args").and_then(|a| a.get("name"));
+        assert_eq!(thread.and_then(Json::as_str), Some(awkward));
+        let span = &events[1];
+        assert_eq!(field(span, "name"), Some(awkward));
+        let args = span.get("args").expect("args");
+        assert_eq!(args.get("detail").and_then(Json::as_str), Some(awkward));
+        assert_eq!(args.get("arg").and_then(Json::as_u64), Some(7));
     }
 
     #[test]

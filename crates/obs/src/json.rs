@@ -1,13 +1,25 @@
-//! A minimal JSON value model, printer, and recursive-descent parser.
+//! The workspace's one JSON module: a minimal value model, a compact and
+//! an indented printer, and a recursive-descent parser.
 //!
-//! The build environment has no crates.io access, so the persistent cache
-//! tier serializes by hand. The model is deliberately small: objects keep
-//! insertion order (stable files, stable diffs), numbers are `f64` (every
-//! integer the codec stores fits in the 2⁵³ exact range; the 128-bit
-//! fingerprint travels as a hex string), and the printer emits the shortest
-//! round-trippable float form (Rust's `{}` for `f64`).
+//! Every JSON artifact the workspace writes is built as a [`Json`] value
+//! and printed here: disk-cache entries and `stng-batch --json` reports
+//! (compact), Chrome traces (compact), metrics snapshots, `stng-verify`
+//! reports and `BENCH_N.json` snapshots ([`Json::pretty`]). Nothing else
+//! escapes strings or lays out JSON, so every artifact re-parses with
+//! [`Json::parse`].
+//!
+//! The model is deliberately small: objects keep insertion order (stable
+//! files, stable diffs), numbers are `f64` (every integer the codec stores
+//! fits in the 2⁵³ exact range; the 128-bit fingerprint travels as a hex
+//! string) except unsigned integers beyond that range, which keep every
+//! digit as [`Json::U64`] (64-bit seeds), and the printers emit the
+//! shortest round-trippable float form (Rust's `{}` for `f64`). The compact form is part of the disk-cache
+//! format: changing it would invalidate every stored entry's checksum.
 
 use std::fmt::Write as _;
+
+/// 2⁵³: integers up to this magnitude are exact in `f64`.
+const EXACT_INT: f64 = 9.007_199_254_740_992e15;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,6 +27,10 @@ pub enum Json {
     Null,
     Bool(bool),
     Num(f64),
+    /// An unsigned integer above 2⁵³, where `f64` would drop digits. Built
+    /// by [`nu64`] and produced by the parser only for such integers, so
+    /// every value still round-trips.
+    U64(u64),
     Str(String),
     Arr(Vec<Json>),
     /// Object as an ordered key–value list (no duplicate keys are produced
@@ -43,20 +59,27 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(v) => Some(*v),
+            Json::U64(v) => Some(*v as f64),
             _ => None,
         }
     }
 
     /// The value as an unsigned integer (must be integral and in range).
     pub fn as_u64(&self) -> Option<u64> {
+        if let Json::U64(v) = self {
+            return Some(*v);
+        }
         let v = self.as_f64()?;
-        (v >= 0.0 && v.fract() == 0.0 && v <= 9.007_199_254_740_992e15).then_some(v as u64)
+        (v >= 0.0 && v.fract() == 0.0 && v <= EXACT_INT).then_some(v as u64)
     }
 
     /// The value as a signed integer (must be integral and in range).
     pub fn as_i64(&self) -> Option<i64> {
+        if let Json::U64(v) = self {
+            return i64::try_from(*v).ok();
+        }
         let v = self.as_f64()?;
-        (v.fract() == 0.0 && v.abs() <= 9.007_199_254_740_992e15).then_some(v as i64)
+        (v.fract() == 0.0 && v.abs() <= EXACT_INT).then_some(v as i64)
     }
 
     /// The value as a bool.
@@ -88,6 +111,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
+            Json::U64(v) => write!(out, "{v}").expect("writing to a String cannot fail"),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -112,6 +136,54 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+
+    fn write_pretty(&self, out: &mut String, depth: usize) {
+        let newline = |out: &mut String, depth: usize| {
+            out.push('\n');
+            for _ in 0..depth {
+                out.push_str("  ");
+            }
+        };
+        match self {
+            Json::Arr(items) if !items.is_empty() => {
+                out.push('[');
+                for (k, item) in items.iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    item.write_pretty(out, depth + 1);
+                }
+                newline(out, depth);
+                out.push(']');
+            }
+            Json::Obj(fields) if !fields.is_empty() => {
+                out.push('{');
+                for (k, (key, value)) in fields.iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    write_escaped(out, key);
+                    out.push_str(": ");
+                    value.write_pretty(out, depth + 1);
+                }
+                newline(out, depth);
+                out.push('}');
+            }
+            scalar_or_empty => scalar_or_empty.write(out),
+        }
+    }
+
+    /// Serializes with two-space indentation and a trailing newline: the
+    /// form of the files people read (reports, snapshots). Parses back to
+    /// the same value as [`Json::to_string`].
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out.push('\n');
+        out
     }
 
     /// Serializes compactly (no insignificant whitespace). Equivalent to
@@ -368,6 +440,11 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.at])
             .map_err(|_| "invalid number".to_string())?;
+        if let Ok(v) = text.parse::<u64>() {
+            if v as f64 > EXACT_INT {
+                return Ok(Json::U64(v));
+            }
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|e| format!("invalid number {text:?}: {e}"))
@@ -400,6 +477,15 @@ pub fn nu(value: usize) -> Json {
     Json::Num(value as f64)
 }
 
+/// A u64 as a JSON number, exact at any size: [`Json::U64`] above 2⁵³.
+pub fn nu64(value: u64) -> Json {
+    if value as f64 > EXACT_INT {
+        Json::U64(value)
+    } else {
+        Json::Num(value as f64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,6 +499,23 @@ mod tests {
             ("d", n(1e300)),
         ]);
         let text = v.to_string();
+        assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn pretty_indents_by_two_spaces_and_parses_back() {
+        let v = obj(vec![
+            ("a", Json::Arr(vec![n(1), s("x\"\\\n\u{1}")])),
+            ("empty", obj(vec![])),
+            ("none", Json::Arr(vec![])),
+            ("b", obj(vec![("c", Json::Bool(false))])),
+        ]);
+        let text = v.pretty();
+        assert_eq!(
+            text,
+            "{\n  \"a\": [\n    1,\n    \"x\\\"\\\\\\n\\u0001\"\n  ],\n  \"empty\": {},\n  \
+             \"none\": [],\n  \"b\": {\n    \"c\": false\n  }\n}\n"
+        );
         assert_eq!(Json::parse(&text).unwrap(), v);
     }
 
@@ -431,6 +534,16 @@ mod tests {
         assert_eq!(back.as_u64(), Some(123_456_789_012_345));
         assert_eq!(Json::parse("-7").unwrap().as_i64(), Some(-7));
         assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
+        // Beyond 2^53 every digit survives, and the value round-trips.
+        let seed = nu64(0x57e9_c11a_0000_0001);
+        let text = seed.to_string();
+        assert_eq!(text, "6334806668286623745");
+        assert_eq!(Json::parse(&text).unwrap(), seed);
+        assert_eq!(
+            Json::parse(&text).unwrap().as_u64(),
+            Some(0x57e9_c11a_0000_0001)
+        );
+        assert_eq!(nu64(7), Json::Num(7.0));
     }
 
     #[test]

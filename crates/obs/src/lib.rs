@@ -13,9 +13,12 @@
 //!   increment after that is a plain atomic add on a dense cell. The
 //!   per-kernel [`metrics::MetricSet`] is the aggregation unit `PhaseTimings`
 //!   is derived from; flushing it feeds the process-wide totals.
-//! * [`chrome`] — exporters: Chrome trace-event JSON (loadable in Perfetto /
-//!   `chrome://tracing`, one track per recorded thread) and a machine-
-//!   readable metrics snapshot.
+//! * [`chrome`] — the Chrome trace-event exporter (loadable in Perfetto /
+//!   `chrome://tracing`, one track per recorded thread); the metrics
+//!   snapshot lives in [`metrics`].
+//! * [`json`] — the one JSON value model, printer and parser every
+//!   artifact of the workspace goes through (traces, metrics snapshots,
+//!   disk-cache entries, verification reports, benchmark snapshots).
 //!
 //! Span names are interned [`Symbol`]s. Symbols are **never swept** by the
 //! epoch eviction in `stng-intern` (see `stng::memory`), so events captured
@@ -31,6 +34,7 @@
 //! `stng::memory::sweep` already imposes.
 
 pub mod chrome;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 

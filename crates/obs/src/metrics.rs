@@ -25,8 +25,8 @@
 //! [`MetricSet::flush`] folds it into the process-wide cells that
 //! `stng-batch --metrics-json` exports.
 
+use crate::json::{n, nu64, obj, Json};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use stng_intern::Symbol;
@@ -344,7 +344,8 @@ pub fn reset() {
     }
 }
 
-fn write_scalar_section(out: &mut String, kind: MetricKind, reg: &Registry) {
+/// One kind's scalar cells as an object, sorted by name.
+fn scalar_section(kind: MetricKind, reg: &Registry) -> Json {
     let mut rows: Vec<(&str, u64)> = reg
         .scalars
         .iter()
@@ -352,23 +353,14 @@ fn write_scalar_section(out: &mut String, kind: MetricKind, reg: &Registry) {
         .map(|(name, _, cell)| (*name, cell.load(Ordering::Relaxed)))
         .collect();
     rows.sort_by_key(|(name, _)| *name);
-    out.push('{');
-    for (k, (name, v)) in rows.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        write!(out, "\n    \"{name}\": {v}").expect("writing to a String cannot fail");
-    }
-    out.push_str(if rows.is_empty() { "}" } else { "\n  }" });
+    obj(rows.into_iter().map(|(name, v)| (name, nu64(v))).collect())
 }
 
 /// Renders only the deterministic counters, sorted by name — the byte
 /// string the determinism test compares across runs.
 pub fn counters_snapshot() -> String {
     let reg = registry().lock().expect("metric registry poisoned");
-    let mut out = String::new();
-    write_scalar_section(&mut out, MetricKind::Counter, &reg);
-    out
+    scalar_section(MetricKind::Counter, &reg).pretty()
 }
 
 /// Renders the whole registry as JSON (`stng-batch --metrics-json`):
@@ -376,48 +368,40 @@ pub fn counters_snapshot() -> String {
 /// name.
 pub fn snapshot_json() -> String {
     let reg = registry().lock().expect("metric registry poisoned");
-    let mut out = String::from("{\n  \"schema\": 1,\n  \"counters\": ");
-    write_scalar_section(&mut out, MetricKind::Counter, &reg);
-    out.push_str(",\n  \"time_ns\": ");
-    write_scalar_section(&mut out, MetricKind::TimeNs, &reg);
-    out.push_str(",\n  \"gauges\": ");
-    write_scalar_section(&mut out, MetricKind::Gauge, &reg);
-    out.push_str(",\n  \"histograms\": {");
     let mut hists: Vec<(&str, &HistogramCells)> = reg
         .histograms
         .iter()
         .map(|(name, cells)| (*name, *cells))
         .collect();
     hists.sort_by_key(|(name, _)| *name);
-    for (k, (name, cells)) in hists.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        let top = cells
-            .buckets
-            .iter()
-            .rposition(|b| b.load(Ordering::Relaxed) > 0)
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        let buckets: Vec<String> = cells.buckets[..top]
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed).to_string())
-            .collect();
-        write!(
-            out,
-            "\n    \"{name}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [{}]}}",
-            cells.count.load(Ordering::Relaxed),
-            cells.sum.load(Ordering::Relaxed),
-            buckets.join(", ")
-        )
-        .expect("writing to a String cannot fail");
-    }
-    out.push_str(if reg.histograms.is_empty() {
-        "}\n}\n"
-    } else {
-        "\n  }\n}\n"
-    });
-    out
+    let histograms = hists
+        .into_iter()
+        .map(|(name, cells)| {
+            let load = |cell: &AtomicU64| nu64(cell.load(Ordering::Relaxed));
+            let top = cells
+                .buckets
+                .iter()
+                .rposition(|b| b.load(Ordering::Relaxed) > 0)
+                .map_or(0, |p| p + 1);
+            let histogram = obj(vec![
+                ("count", load(&cells.count)),
+                ("sum", load(&cells.sum)),
+                (
+                    "buckets",
+                    Json::Arr(cells.buckets[..top].iter().map(load).collect()),
+                ),
+            ]);
+            (name, histogram)
+        })
+        .collect();
+    obj(vec![
+        ("schema", n(1)),
+        ("counters", scalar_section(MetricKind::Counter, &reg)),
+        ("time_ns", scalar_section(MetricKind::TimeNs, &reg)),
+        ("gauges", scalar_section(MetricKind::Gauge, &reg)),
+        ("histograms", obj(histograms)),
+    ])
+    .pretty()
 }
 
 #[cfg(test)]
@@ -454,23 +438,47 @@ mod tests {
         assert_eq!(h.get(), before + 7);
     }
 
+    /// One section of the parsed snapshot.
+    fn section(snapshot: &Json, name: &str) -> Vec<(String, Json)> {
+        match snapshot.get(name) {
+            Some(Json::Obj(fields)) => fields.clone(),
+            other => panic!("section {name} is not an object: {other:?}"),
+        }
+    }
+
     #[test]
     fn snapshot_sections_sort_and_histograms_bucket_by_bit_length() {
         let _gate = lock();
         register("test.zz", MetricKind::Counter);
         register("test.aa", MetricKind::Counter);
-        let counters = counters_snapshot();
-        let aa = counters.find("test.aa").unwrap();
-        let zz = counters.find("test.zz").unwrap();
+        let counters = match Json::parse(&counters_snapshot()).expect("counters parse") {
+            Json::Obj(fields) => fields,
+            other => panic!("counters are not an object: {other:?}"),
+        };
+        let names: Vec<&str> = counters.iter().map(|(k, _)| k.as_str()).collect();
+        let aa = names.iter().position(|k| *k == "test.aa").unwrap();
+        let zz = names.iter().position(|k| *k == "test.zz").unwrap();
         assert!(aa < zz);
+        assert!(names.windows(2).all(|w| w[0] <= w[1]), "{names:?}");
         let h = register_histogram("test.hist");
         h.record(0); // bucket 0
         h.record(1); // bucket 1
         h.record(1000); // bucket 10
         let (count, sum) = h.totals();
         assert!(count >= 3 && sum >= 1001);
-        let json = snapshot_json();
-        assert!(json.contains("\"test.hist\""));
+        let snapshot = Json::parse(&snapshot_json()).expect("snapshot parses");
+        let hists = section(&snapshot, "histograms");
+        let hist = &hists
+            .iter()
+            .find(|(k, _)| k == "test.hist")
+            .expect("test.hist")
+            .1;
+        let buckets = hist.get("buckets").and_then(Json::as_arr).expect("buckets");
+        assert!(
+            buckets.len() >= 11,
+            "bucket 10 is the highest non-empty one"
+        );
+        assert!(buckets[10].as_u64() >= Some(1));
     }
 
     #[test]
@@ -480,6 +488,27 @@ mod tests {
         let h = register_dynamic(&name, MetricKind::Gauge);
         h.set(42);
         assert_eq!(h.get(), 42);
-        assert!(snapshot_json().contains("\"test.dyn.arena\": 42"));
+        let snapshot = Json::parse(&snapshot_json()).expect("snapshot parses");
+        let gauges = section(&snapshot, "gauges");
+        let value = gauges
+            .iter()
+            .find(|(k, _)| k == "test.dyn.arena")
+            .map(|(_, v)| v);
+        assert_eq!(value.and_then(Json::as_u64), Some(42));
+    }
+
+    #[test]
+    fn snapshot_escapes_registered_names() {
+        let _gate = lock();
+        let awkward = "test.dyn.q\"b\\n\nu\u{1}";
+        register_dynamic(awkward, MetricKind::Counter).add(5);
+        let snapshot = Json::parse(&snapshot_json()).expect("snapshot parses");
+        assert_eq!(snapshot.get("schema").and_then(Json::as_u64), Some(1));
+        let counters = section(&snapshot, "counters");
+        let value = counters.iter().find(|(k, _)| k == awkward).map(|(_, v)| v);
+        assert!(value.and_then(Json::as_u64) >= Some(5));
+        for key in ["time_ns", "histograms"] {
+            section(&snapshot, key);
+        }
     }
 }

@@ -286,11 +286,6 @@ impl Postcondition {
     pub fn node_count(&self) -> usize {
         self.clauses.iter().map(QuantClause::node_count).sum()
     }
-
-    /// The clause describing `array`, if any.
-    pub fn clause_for(&self, array: &str) -> Option<&QuantClause> {
-        self.clauses.iter().find(|c| c.eq.array == array)
-    }
 }
 
 impl fmt::Display for Postcondition {

@@ -10,7 +10,6 @@
 //! before/after each sweep.
 
 use crate::cache::{CacheStats, PipelineCache};
-use crate::json::{nu, obj, s, Json};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,6 +17,7 @@ use stng::memory;
 use stng::pipeline::{KernelOutcome, KernelReport, LiftReport, Stng};
 use stng_intern::guard::Budget;
 use stng_intern::parallel;
+use stng_obs::json::{nu, obj, s, Json};
 use stng_synth::cegis::SynthesisConfig;
 
 /// One named source file (or corpus entry) to lift.
@@ -406,19 +406,7 @@ fn synthetic_row(src: &BatchSource, tag: &str, ms: f64, outcome: KernelOutcome) 
         kernel_name: format!("{}:{tag}", src.name),
         fingerprint: None,
         lift_ms: ms,
-        report: KernelReport {
-            name: src.name.clone(),
-            kernel: None,
-            outcome,
-            synthesis_time: std::time::Duration::ZERO,
-            control_bits: Default::default(),
-            postcond_nodes: 0,
-            prover_attempts: 0,
-            peak_candidates: 0,
-            fingerprint: None,
-            cached: false,
-            phase: Default::default(),
-        },
+        report: KernelReport::unsynthesized(&src.name, None, outcome, std::time::Duration::ZERO),
     }
 }
 

@@ -32,7 +32,8 @@
 //!   self-validated: it must parse and carry a `lift.kernel` span for every
 //!   translated kernel.
 //! * `--metrics-json <path>` — write a snapshot of the metrics registry
-//!   (counters, time accumulators, arena gauges, histograms) as JSON.
+//!   (counters, time accumulators, arena gauges, histograms) as JSON. The
+//!   written snapshot is read back and must parse.
 //! * `--deadline-ms <n>` — wall-clock budget for the whole batch; once it
 //!   is gone, remaining kernels report as timed out instead of running.
 //! * `--kernel-timeout-ms <n>` — wall-clock budget per source, doubled on
@@ -345,8 +346,8 @@ fn main() -> ExitCode {
             bytes.set(stat.approx_bytes as u64);
         }
         let snapshot = stng::obs::metrics::snapshot_json();
-        if let Err(e) = std::fs::write(path, snapshot + "\n") {
-            eprintln!("stng-batch: writing {}: {e}", path.display());
+        if let Err(e) = write_validated(path, &snapshot) {
+            eprintln!("stng-batch: metrics export: {e}");
             return ExitCode::FAILURE;
         }
         println!("wrote {}", path.display());
@@ -358,6 +359,17 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Writes a JSON artifact and reads it back: a file that does not parse
+/// fails the run instead of reaching whoever loads it.
+fn write_validated(path: &std::path::Path, json: &str) -> Result<(), String> {
+    std::fs::write(path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    let reread =
+        std::fs::read_to_string(path).map_err(|e| format!("rereading {}: {e}", path.display()))?;
+    stng_obs::json::Json::parse(&reread)
+        .map(drop)
+        .map_err(|e| format!("{} is not valid JSON: {e}", path.display()))
+}
+
 /// `--trace-out`: export the recorded spans as Chrome trace-event JSON and
 /// self-validate the file — it must parse back, and every kernel the batch
 /// translated must have left at least one `lift.kernel` span. A trace that
@@ -365,13 +377,7 @@ fn main() -> ExitCode {
 /// failure fails the run.
 fn write_trace(path: &std::path::Path, report: &stng_service::BatchReport) -> Result<(), String> {
     let threads = stng::obs::recorder::snapshot();
-    let trace = stng::obs::chrome::trace_json(&threads);
-    std::fs::write(path, &trace).map_err(|e| format!("writing {}: {e}", path.display()))?;
-
-    let reread =
-        std::fs::read_to_string(path).map_err(|e| format!("rereading {}: {e}", path.display()))?;
-    stng_service::json::Json::parse(&reread)
-        .map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
+    write_validated(path, &stng::obs::chrome::trace_json(&threads))?;
 
     let lifted: Vec<&'static str> = stng::obs::chrome::span_details(&threads, "lift.kernel");
     let mut missing = Vec::new();

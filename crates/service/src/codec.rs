@@ -7,8 +7,8 @@
 //! that compare `==` to the originals (the round-trip test in
 //! `tests/cache_roundtrip.rs` pins the whole path down).
 
-use crate::json::{nu, obj, s, Json};
 use stng_ir::ir::{BinOp, CmpOp, IrExpr};
+use stng_obs::json::{nu, obj, s, Json};
 use stng_pred::lang::{OutEq, Postcondition, QuantBound, QuantClause};
 use stng_synth::{ControlBits, PhaseTimings};
 

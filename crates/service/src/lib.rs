@@ -36,7 +36,6 @@ pub mod cache;
 #[cfg(feature = "fault-inject")]
 pub mod chaos;
 pub mod codec;
-pub mod json;
 
 pub use batch::{run_batch, BatchOptions, BatchReport, BatchSource};
 pub use cache::{config_digest, CacheKey, CacheStats, LiftResultCache, PipelineCache};

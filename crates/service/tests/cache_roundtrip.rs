@@ -57,7 +57,7 @@ fn persisted_entry_reloads_to_an_equal_report() {
         stng_service::canon::fnv1a64(body.as_bytes(), 0xcbf2_9ce4_8422_2325),
         "stored checksum covers the body"
     );
-    let doc = stng_service::json::Json::parse(body).expect("entry body is valid JSON");
+    let doc = stng_obs::json::Json::parse(body).expect("entry body is valid JSON");
     let entry = stng_service::codec::decode_entry(&doc).expect("entry decodes");
     assert!(entry.translated);
     assert!(entry.post.is_some());

@@ -33,7 +33,7 @@ pub mod guard {
 /// traces without depending on the substrate crate directly. See
 /// `docs/observability.md`.
 pub mod obs {
-    pub use stng_obs::{arm, armed, chrome, disarm, event, metrics, names, recorder, span};
+    pub use stng_obs::{arm, armed, chrome, disarm, event, json, metrics, names, recorder, span};
 }
 
 pub use pipeline::{KernelOutcome, KernelReport, LiftCache, LiftReport, Stng};

@@ -142,6 +142,32 @@ pub struct KernelReport {
     pub phase: PhaseTimings,
 }
 
+impl KernelReport {
+    /// The report of a kernel that produced no synthesis result (lowering
+    /// or liftability failed, or synthesis gave up): zero synthesis
+    /// statistics, no fingerprint, not cached.
+    pub fn unsynthesized(
+        name: impl Into<String>,
+        kernel: Option<Kernel>,
+        outcome: KernelOutcome,
+        synthesis_time: Duration,
+    ) -> KernelReport {
+        KernelReport {
+            name: name.into(),
+            kernel,
+            outcome,
+            synthesis_time,
+            control_bits: ControlBits::default(),
+            postcond_nodes: 0,
+            prover_attempts: 0,
+            peak_candidates: 0,
+            fingerprint: None,
+            cached: false,
+            phase: PhaseTimings::default(),
+        }
+    }
+}
+
 /// The report for a whole source file.
 #[derive(Debug, Clone, Default)]
 pub struct LiftReport {
@@ -163,14 +189,6 @@ impl LiftReport {
             .iter()
             .filter(|k| k.outcome.is_translated())
             .count()
-    }
-
-    /// Kernel reports for translated kernels.
-    pub fn translated_kernels(&self) -> Vec<&KernelReport> {
-        self.kernels
-            .iter()
-            .filter(|k| k.outcome.is_translated())
-            .collect()
     }
 }
 
@@ -254,21 +272,14 @@ impl Stng {
         let kernel = match lowered {
             Ok(kernel) => kernel,
             Err(err) => {
-                return KernelReport {
-                    name: fragment.name.clone(),
-                    kernel: None,
-                    outcome: KernelOutcome::Untranslated {
-                        reason: err.to_string(),
-                    },
-                    synthesis_time: started.elapsed(),
-                    control_bits: ControlBits::default(),
-                    postcond_nodes: 0,
-                    prover_attempts: 0,
-                    peak_candidates: 0,
-                    fingerprint: None,
-                    cached: false,
-                    phase: PhaseTimings::default(),
-                }
+                let reason = err.to_string();
+                let outcome = KernelOutcome::Untranslated { reason };
+                return KernelReport::unsynthesized(
+                    &fragment.name,
+                    None,
+                    outcome,
+                    started.elapsed(),
+                );
             }
         };
         // Cache hook: a structural duplicate of an already-lifted kernel
@@ -319,66 +330,46 @@ impl Stng {
         // the lifter handles the (dominant) single-nest case and reports the
         // rest as untranslated, mirroring §5.4's engineering limitations.
         if let Err(reason) = liftability_check(&kernel) {
-            return KernelReport {
-                name: fragment_name.to_string(),
-                kernel: Some(kernel),
-                outcome: KernelOutcome::Untranslated { reason },
-                synthesis_time: started.elapsed(),
-                control_bits: ControlBits::default(),
-                postcond_nodes: 0,
-                prover_attempts: 0,
-                peak_candidates: 0,
-                fingerprint: None,
-                cached: false,
-                phase: PhaseTimings::default(),
-            };
+            let outcome = KernelOutcome::Untranslated { reason };
+            return KernelReport::unsynthesized(
+                fragment_name,
+                Some(kernel),
+                outcome,
+                started.elapsed(),
+            );
         }
         let (result, failure_phase) =
             synthesize_governed_with_phases(&kernel, &self.config, &self.budget);
         match result {
             Ok(outcome) => {
-                let summary = StencilSummary::from_postcondition(&kernel.name, &outcome.post);
-                match summary {
-                    Ok(summary) => KernelReport {
-                        name: fragment_name.to_string(),
-                        kernel: Some(kernel),
-                        outcome: KernelOutcome::Translated {
-                            post: outcome.post,
-                            summary,
-                            soundly_verified: outcome.soundly_verified,
-                            cegis_iterations: outcome.cegis_iterations,
-                            degraded: outcome.degraded,
-                        },
-                        synthesis_time: outcome.synthesis_time,
-                        control_bits: outcome.control_bits,
-                        postcond_nodes: outcome.postcond_nodes,
-                        prover_attempts: outcome.prover_attempts,
-                        peak_candidates: outcome.peak_candidates,
-                        fingerprint: None,
-                        cached: false,
-                        phase: outcome.phase,
+                let lifted = match StencilSummary::from_postcondition(&kernel.name, &outcome.post) {
+                    Ok(summary) => KernelOutcome::Translated {
+                        post: outcome.post,
+                        summary,
+                        soundly_verified: outcome.soundly_verified,
+                        cegis_iterations: outcome.cegis_iterations,
+                        degraded: outcome.degraded,
                     },
-                    Err(err) => KernelReport {
-                        name: fragment_name.to_string(),
-                        kernel: Some(kernel),
-                        outcome: KernelOutcome::Untranslated {
-                            reason: format!("summary could not be translated to the DSL: {err}"),
-                        },
-                        synthesis_time: outcome.synthesis_time,
-                        control_bits: outcome.control_bits,
-                        postcond_nodes: outcome.postcond_nodes,
-                        prover_attempts: outcome.prover_attempts,
-                        peak_candidates: outcome.peak_candidates,
-                        fingerprint: None,
-                        cached: false,
-                        phase: outcome.phase,
+                    Err(err) => KernelOutcome::Untranslated {
+                        reason: format!("summary could not be translated to the DSL: {err}"),
                     },
+                };
+                KernelReport {
+                    name: fragment_name.to_string(),
+                    kernel: Some(kernel),
+                    outcome: lifted,
+                    synthesis_time: outcome.synthesis_time,
+                    control_bits: outcome.control_bits,
+                    postcond_nodes: outcome.postcond_nodes,
+                    prover_attempts: outcome.prover_attempts,
+                    peak_candidates: outcome.peak_candidates,
+                    fingerprint: None,
+                    cached: false,
+                    phase: outcome.phase,
                 }
             }
-            Err(err) => KernelReport {
-                name: fragment_name.to_string(),
-                kernel: Some(kernel),
-                outcome: match err {
+            Err(err) => {
+                let outcome = match err {
                     SynthesisFailure::Timeout { reason, detail } => {
                         KernelOutcome::Timeout { reason, detail }
                     }
@@ -386,18 +377,19 @@ impl Stng {
                     other => KernelOutcome::Untranslated {
                         reason: other.to_string(),
                     },
-                },
-                synthesis_time: started.elapsed(),
-                control_bits: ControlBits::default(),
-                postcond_nodes: 0,
-                prover_attempts: 0,
-                peak_candidates: 0,
-                fingerprint: None,
-                cached: false,
-                // Failed kernels still ran the bounded screen; report where
-                // their checking time went.
-                phase: failure_phase,
-            },
+                };
+                KernelReport {
+                    // Failed kernels still ran the bounded screen; report
+                    // where their checking time went.
+                    phase: failure_phase,
+                    ..KernelReport::unsynthesized(
+                        fragment_name,
+                        Some(kernel),
+                        outcome,
+                        started.elapsed(),
+                    )
+                }
+            }
         }
     }
 }

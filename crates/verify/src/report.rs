@@ -1,11 +1,13 @@
 //! The canonical JSON report `stng-verify` emits.
 //!
-//! The report is hand-rolled JSON (like `stng-bench`'s `BENCH_N.json` — no
-//! serde in the workspace) and deliberately contains **no timing and no
-//! machine-dependent fields**: two runs with the same tier and seed must
-//! produce byte-identical reports, which is itself one of the properties CI
-//! pins (the kernel fuzzer's determinism guarantee). Wall-clock numbers go
-//! to stderr and to the obs metrics registry instead.
+//! The report is a `stng_obs::json` value printed indented (like
+//! `stng-bench`'s `BENCH_N.json`), and deliberately contains **no timing
+//! and no machine-dependent fields**: two runs with the same tier and seed
+//! must produce byte-identical reports, which CI checks by running the
+//! quick tier twice and comparing the files. Wall-clock numbers go to
+//! stderr and to the obs metrics registry instead.
+
+use stng_obs::json::{nu64, obj, s, Json};
 
 /// One check (a Layer-1 enumeration stratum group, a Layer-2 differential
 /// oracle, or a Layer-3 fuzzer property sweep).
@@ -90,79 +92,47 @@ impl Report {
 
     /// Canonical JSON rendering: construction order, no timing, no paths.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"tier\": {},\n", json_str(self.tier)));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"cases\": {},\n", self.total_cases()));
-        out.push_str(&format!("  \"failures\": {},\n", self.total_failures()));
-        out.push_str(&format!(
-            "  \"passed\": {},\n",
-            if self.passed() { "true" } else { "false" }
-        ));
-        out.push_str("  \"layers\": [\n");
-        for (li, layer) in self.layers.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": {},\n", json_str(layer.name)));
-            out.push_str(&format!("      \"cases\": {},\n", layer.cases()));
-            out.push_str(&format!("      \"failures\": {},\n", layer.failures()));
-            out.push_str("      \"checks\": [\n");
-            for (ci, check) in layer.checks.iter().enumerate() {
-                out.push_str("        {\n");
-                out.push_str(&format!("          \"name\": {},\n", json_str(&check.name)));
-                out.push_str(&format!("          \"cases\": {},\n", check.cases));
-                out.push_str(&format!("          \"failures\": {},\n", check.failures));
-                out.push_str("          \"detail\": {");
-                for (di, (name, value)) in check.detail.iter().enumerate() {
-                    if di > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("{}: {}", json_str(name), value));
-                }
-                out.push_str("},\n");
-                out.push_str("          \"notes\": [");
-                for (ni, note) in check.notes.iter().enumerate() {
-                    if ni > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&json_str(note));
-                }
-                out.push_str("]\n");
-                out.push_str(if ci + 1 < layer.checks.len() {
-                    "        },\n"
-                } else {
-                    "        }\n"
-                });
-            }
-            out.push_str("      ]\n");
-            out.push_str(if li + 1 < self.layers.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+        let check_json = |check: &CheckReport| {
+            obj(vec![
+                ("name", s(&check.name)),
+                ("cases", nu64(check.cases)),
+                ("failures", nu64(check.failures)),
+                (
+                    "detail",
+                    obj(check
+                        .detail
+                        .iter()
+                        .map(|(k, v)| (k.as_str(), nu64(*v)))
+                        .collect()),
+                ),
+                ("notes", Json::Arr(check.notes.iter().map(s).collect())),
+            ])
+        };
+        let layers = self
+            .layers
+            .iter()
+            .map(|layer| {
+                obj(vec![
+                    ("name", s(layer.name)),
+                    ("cases", nu64(layer.cases())),
+                    ("failures", nu64(layer.failures())),
+                    (
+                        "checks",
+                        Json::Arr(layer.checks.iter().map(check_json).collect()),
+                    ),
+                ])
+            })
+            .collect();
+        obj(vec![
+            ("tier", s(self.tier)),
+            ("seed", nu64(self.seed)),
+            ("cases", nu64(self.total_cases())),
+            ("failures", nu64(self.total_failures())),
+            ("passed", Json::Bool(self.passed())),
+            ("layers", Json::Arr(layers)),
+        ])
+        .pretty()
     }
-}
-
-/// JSON string literal with the escapes the report can actually contain.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -171,13 +141,16 @@ mod tests {
 
     #[test]
     fn report_json_is_deterministic_and_escaped() {
+        let awkward = "q\"b\\n\nu\u{1}";
         let mut check = CheckReport::new("fm.engine-agreement");
         check.cases = 3;
         check.count("stratum \"a\"", 2);
+        check.count(awkward, 4);
         check.fail("row x ≤ 0\nbroke");
+        check.fail(awkward);
         let report = Report {
             tier: "quick",
-            seed: 7,
+            seed: 0x57e9_c11a_0000_0001,
             layers: vec![LayerReport {
                 name: "model-checking",
                 checks: vec![check],
@@ -186,8 +159,29 @@ mod tests {
         let a = report.to_json();
         let b = report.to_json();
         assert_eq!(a, b);
-        assert!(a.contains("\"stratum \\\"a\\\"\": 2"));
-        assert!(a.contains("\\nbroke"));
-        assert!(a.contains("\"passed\": false"));
+        let doc = Json::parse(&a).expect("report is valid JSON");
+        assert_eq!(doc.get("passed"), Some(&Json::Bool(false)));
+        assert_eq!(
+            doc.get("seed").and_then(Json::as_u64),
+            Some(0x57e9_c11a_0000_0001)
+        );
+        assert_eq!(doc.get("failures").and_then(Json::as_u64), Some(2));
+        let layer = &doc.get("layers").and_then(Json::as_arr).expect("layers")[0];
+        assert_eq!(
+            layer.get("name").and_then(Json::as_str),
+            Some("model-checking")
+        );
+        let check = &layer.get("checks").and_then(Json::as_arr).expect("checks")[0];
+        let detail = check.get("detail").expect("detail");
+        assert_eq!(detail.get("stratum \"a\"").and_then(Json::as_u64), Some(2));
+        assert_eq!(detail.get(awkward).and_then(Json::as_u64), Some(4));
+        let notes: Vec<&str> = check
+            .get("notes")
+            .and_then(Json::as_arr)
+            .expect("notes")
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
+        assert_eq!(notes, vec!["row x ≤ 0\nbroke", awkward]);
     }
 }
