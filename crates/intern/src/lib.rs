@@ -20,51 +20,26 @@
 //! * [`parallel`] — scoped-thread work distribution (the container has no
 //!   crates.io access, so this stands in for rayon on embarrassingly parallel
 //!   CEGIS workloads).
+//! * [`pin`](mod@pin) — lift pins and the quiescent [`sweep`], the only
+//!   way to clear the tables above.
 //!
 //! Interned data is leaked deliberately, so a handle is a plain `&'static`
-//! reference — but the tables themselves are **not** append-only: every entry
-//! carries the [`epoch`] in which it was last interned (arenas also re-tag on
-//! lookup hits), and [`ConsSet::retain_epoch`] / [`Memo::retain_epoch`] sweep
-//! entries older than a cutoff. A long-running service advances the epoch and
-//! sweeps between batches; within an epoch all `Copy` handles stay canonical.
-//! See `docs/service.md` for the eviction contract.
+//! reference — but the tables themselves are **not** append-only:
+//! [`ConsSet::clear`] and [`Memo::clear`] empty them, and both demand the
+//! [`Quiescent`] token that [`sweep`] hands out only while no lift holds a
+//! [`Pin`]. Between two sweeps every `Copy` handle stays canonical. See
+//! `docs/service.md` for the eviction contract.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{OnceLock, RwLock};
 
 pub mod guard;
+pub mod pin;
 pub mod sop;
 
-pub mod epoch {
-    //! The global arena epoch: a monotone generation counter used to tag
-    //! interned entries for eviction.
-    //!
-    //! The contract: `Copy` handles (`SymExpr`, `NormExpr`, …) obtained
-    //! during one epoch are canonical for that whole epoch. After
-    //! [`advance`] + a `retain_epoch` sweep, handles from earlier epochs
-    //! remain *valid* (nodes are never freed, so no dangling references)
-    //! but may stop being canonical: a structurally equal value interned
-    //! later gets a fresh node, so pointer equality across a sweep boundary
-    //! is meaningless. Callers therefore sweep only at quiescent points
-    //! (between batches), when no expression handles are live.
-    use super::{AtomicOrdering, AtomicU64};
-
-    static EPOCH: AtomicU64 = AtomicU64::new(1);
-
-    /// The current epoch (starts at 1).
-    pub fn current() -> u64 {
-        EPOCH.load(AtomicOrdering::Acquire)
-    }
-
-    /// Advances to the next epoch and returns it. Entries tagged before the
-    /// returned value are eligible for `retain_epoch(returned)` sweeps.
-    pub fn advance() -> u64 {
-        EPOCH.fetch_add(1, AtomicOrdering::AcqRel) + 1
-    }
-}
+pub use pin::{pin, sweep, Pin, Quiescent};
 
 /// Occupancy snapshot of one arena or memo table (the observable the batch
 /// driver prints so eviction is auditable).
@@ -83,8 +58,8 @@ pub struct ArenaStats {
 impl ArenaStats {
     /// Builds a snapshot from an entry count and a per-entry shallow size.
     pub fn new(name: &'static str, entries: usize, entry_bytes: usize) -> ArenaStats {
-        // Two words of hash-table overhead per entry plus the epoch tag.
-        let overhead = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<u64>();
+        // Two words of hash-table overhead per entry.
+        let overhead = 2 * std::mem::size_of::<usize>();
         ArenaStats {
             name,
             entries,
@@ -122,9 +97,9 @@ impl Symbol {
 
     /// Interns a string that is already `'static` (span/metric name
     /// constants): a miss inserts the reference itself instead of leaking a
-    /// copy. Symbols are exempt from epoch sweeps, so names interned this
-    /// way stay valid for the life of the process — the property the
-    /// `stng-obs` recorder relies on for events that outlive arena sweeps.
+    /// copy. Sweeps never clear the symbol table, so a symbol stays canonical
+    /// for the life of the process — the property the `stng-obs` recorder
+    /// relies on for events that outlive arena sweeps.
     pub fn intern_static(name: &'static str) -> Symbol {
         let lock = SYMBOLS.get_or_init(Default::default);
         if let Some(&found) = lock.read().expect("symbol table poisoned").get(name) {
@@ -228,15 +203,14 @@ impl From<String> for Symbol {
 /// `&'static T` for each distinct value, so two interned references are
 /// structurally equal iff they are pointer-equal.
 ///
-/// Every entry carries the [`epoch`] in which it was last interned (initial
-/// insert or lookup hit); [`ConsSet::retain_epoch`] evicts entries last used
-/// before a cutoff. Evicted nodes are *removed from the table but never
-/// freed* — outstanding `&'static T` handles stay valid — so the first
-/// re-intern of an equal value after a sweep produces a fresh canonical node.
+/// [`ConsSet::clear`] empties the table. Cleared nodes are *removed from the
+/// table but never freed* — outstanding `&'static T` handles stay readable —
+/// so the first re-intern of an equal value after a sweep produces a fresh
+/// canonical node.
 ///
 /// Declare as a `static`: `static ARENA: ConsSet<Node> = ConsSet::new();`
 pub struct ConsSet<T: 'static> {
-    inner: OnceLock<RwLock<HashMap<&'static T, AtomicU64>>>,
+    inner: OnceLock<RwLock<HashSet<&'static T>>>,
 }
 
 impl<T: Hash + Eq> ConsSet<T> {
@@ -247,33 +221,22 @@ impl<T: Hash + Eq> ConsSet<T> {
         }
     }
 
-    /// Interns `value`, returning its canonical leaked reference. Re-tags the
-    /// entry with the current epoch on every call (touch-on-hit), so values
-    /// still in use survive `retain_epoch` sweeps with older cutoffs.
+    /// Interns `value`, returning its canonical leaked reference.
     pub fn intern(&self, value: T) -> &'static T {
         let lock = self.inner.get_or_init(Default::default);
-        let now = epoch::current();
-        if let Some((&found, tag)) = lock
-            .read()
-            .expect("cons arena poisoned")
-            .get_key_value(&value)
-        {
-            // The tag is atomic precisely so a lookup hit can re-tag under
-            // the shared read lock.
-            tag.store(now, AtomicOrdering::Relaxed);
+        if let Some(&found) = lock.read().expect("cons arena poisoned").get(&value) {
             return found;
         }
         let mut set = lock.write().expect("cons arena poisoned");
-        if let Some((&found, tag)) = set.get_key_value(&value) {
-            tag.store(now, AtomicOrdering::Relaxed);
+        if let Some(&found) = set.get(&value) {
             return found;
         }
         let leaked: &'static T = Box::leak(Box::new(value));
-        set.insert(leaked, AtomicU64::new(now));
+        set.insert(leaked);
         leaked
     }
 
-    /// Number of distinct values interned so far.
+    /// Number of distinct values interned since the last clear.
     pub fn len(&self) -> usize {
         self.inner
             .get()
@@ -286,18 +249,13 @@ impl<T: Hash + Eq> ConsSet<T> {
         self.len() == 0
     }
 
-    /// Evicts every entry last interned before `cutoff` (keeps entries with
-    /// tag ≥ `cutoff`) and returns the number evicted. Node allocations are
-    /// intentionally not reclaimed — see the type-level contract.
-    pub fn retain_epoch(&self, cutoff: u64) -> usize {
-        let Some(lock) = self.inner.get() else {
-            return 0;
-        };
-        let mut set = lock.write().expect("cons arena poisoned");
-        let before = set.len();
-        set.retain(|_, tag| tag.load(AtomicOrdering::Relaxed) >= cutoff);
-        set.shrink_to_fit();
-        before - set.len()
+    /// Empties the table and returns the number of entries it held. Node
+    /// allocations are intentionally not reclaimed — see the type-level
+    /// contract.
+    pub fn clear(&self, _: &Quiescent) -> usize {
+        self.inner.get().map_or(0, |lock| {
+            std::mem::take(&mut *lock.write().expect("cons arena poisoned")).len()
+        })
     }
 
     /// Occupancy snapshot under `name` (shallow bytes, see [`ArenaStats`]).
@@ -315,17 +273,11 @@ impl<T: Hash + Eq> Default for ConsSet<T> {
 /// A concurrent memo table for operation results keyed on consed identities.
 ///
 /// Values must be `Copy` (they are consed references or small ids in
-/// practice), which keeps lookups allocation-free.
-///
-/// Entries are tagged with the [`epoch`] of their *insertion* and are **not**
-/// re-tagged on hits. This ordering discipline is what makes sweeping sound:
-/// a memo value handle is interned (and therefore arena-tagged) at the moment
-/// its entry is inserted, and arena tags only move forward, so an entry's tag
-/// is always ≤ the tag of the node its value points to. Sweeping memos and
-/// arenas with the same cutoff can then never leave a memo entry whose value
-/// node was evicted — the entry always dies first.
+/// practice), which keeps lookups allocation-free. [`Memo::clear`] empties
+/// the table in the same sweep that clears the arenas its keys and values
+/// point into.
 pub struct Memo<K: 'static, V: 'static> {
-    inner: OnceLock<RwLock<HashMap<K, (V, u64)>>>,
+    inner: OnceLock<RwLock<HashMap<K, V>>>,
 }
 
 impl<K: Hash + Eq, V: Copy> Memo<K, V> {
@@ -343,16 +295,16 @@ impl<K: Hash + Eq, V: Copy> Memo<K, V> {
             .read()
             .expect("memo table poisoned")
             .get(key)
-            .map(|(v, _)| *v)
+            .copied()
     }
 
-    /// Caches `value` under `key`, tagged with the current epoch.
+    /// Caches `value` under `key`.
     pub fn insert(&self, key: K, value: V) {
         self.inner
             .get_or_init(Default::default)
             .write()
             .expect("memo table poisoned")
-            .insert(key, (value, epoch::current()));
+            .insert(key, value);
     }
 
     /// Returns the cached result for `key`, or computes, caches and returns
@@ -380,17 +332,11 @@ impl<K: Hash + Eq, V: Copy> Memo<K, V> {
         self.len() == 0
     }
 
-    /// Evicts every entry inserted before `cutoff` and returns the number
-    /// evicted.
-    pub fn retain_epoch(&self, cutoff: u64) -> usize {
-        let Some(lock) = self.inner.get() else {
-            return 0;
-        };
-        let mut map = lock.write().expect("memo table poisoned");
-        let before = map.len();
-        map.retain(|_, (_, tag)| *tag >= cutoff);
-        map.shrink_to_fit();
-        before - map.len()
+    /// Empties the table and returns the number of entries it held.
+    pub fn clear(&self, _: &Quiescent) -> usize {
+        self.inner.get().map_or(0, |lock| {
+            std::mem::take(&mut *lock.write().expect("memo table poisoned")).len()
+        })
     }
 
     /// Occupancy snapshot under `name` (shallow bytes, see [`ArenaStats`]).
@@ -429,8 +375,10 @@ pub mod parallel {
     //! helpers spread that work over `std::thread::scope` threads while
     //! keeping results deterministic (a parallel search returns the same
     //! element the sequential scan would have, and every helper has a
-    //! sequential fallback at one thread).
+    //! sequential fallback at one thread). Helper threads of a pinned
+    //! thread inherit its pin (see [`crate::pin()`]).
 
+    use crate::pin::{held, inherit};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
@@ -455,15 +403,19 @@ pub mod parallel {
         }
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
+        let pinned = held();
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= items.len() {
-                        break;
+                scope.spawn(|| {
+                    inherit(pinned);
+                    loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        if k >= items.len() {
+                            break;
+                        }
+                        let r = f(&items[k]);
+                        results.lock().expect("result vector poisoned").push((k, r));
                     }
-                    let r = f(&items[k]);
-                    results.lock().expect("result vector poisoned").push((k, r));
                 });
             }
         });
@@ -494,20 +446,24 @@ pub mod parallel {
         let next = AtomicUsize::new(0);
         let best = AtomicUsize::new(usize::MAX);
         let found: Mutex<Option<(usize, R)>> = Mutex::new(None);
+        let pinned = held();
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= items.len() || k > best.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if let Some(r) = f(k, &items[k]) {
-                        best.fetch_min(k, Ordering::AcqRel);
-                        let mut slot = found.lock().expect("result slot poisoned");
-                        if slot.as_ref().map(|(j, _)| k < *j).unwrap_or(true) {
-                            *slot = Some((k, r));
+                scope.spawn(|| {
+                    inherit(pinned);
+                    loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        if k >= items.len() || k > best.load(Ordering::Acquire) {
+                            break;
                         }
-                        break;
+                        if let Some(r) = f(k, &items[k]) {
+                            best.fetch_min(k, Ordering::AcqRel);
+                            let mut slot = found.lock().expect("result slot poisoned");
+                            if slot.as_ref().map(|(j, _)| k < *j).unwrap_or(true) {
+                                *slot = Some((k, r));
+                            }
+                            break;
+                        }
                     }
                 });
             }
@@ -530,8 +486,12 @@ pub mod parallel {
             let ra = a();
             return (ra, b());
         }
+        let pinned = held();
         std::thread::scope(|scope| {
-            let helper = scope.spawn(a);
+            let helper = scope.spawn(move || {
+                inherit(pinned);
+                a()
+            });
             let rb = b();
             match helper.join() {
                 Ok(ra) => (ra, rb),
@@ -585,35 +545,28 @@ mod tests {
     }
 
     #[test]
-    fn retain_epoch_sweeps_stale_entries_and_keeps_touched_ones() {
+    fn clear_empties_the_tables_and_stale_handles_stay_readable() {
         static ARENA: ConsSet<(u64, u64)> = ConsSet::new();
         static MEMO: Memo<(u64, u64), u64> = Memo::new();
-        let e0 = epoch::current();
         let stale = ARENA.intern((1, 1));
         ARENA.intern((2, 2));
         MEMO.insert((1, 1), 10);
         assert_eq!(ARENA.len(), 2);
 
-        let e1 = epoch::advance();
-        assert!(e1 > e0);
-        // Touch (2,2) in the new epoch: it must survive a sweep at e1.
-        let kept = ARENA.intern((2, 2));
-        MEMO.insert((2, 2), 20);
-        let evicted = ARENA.retain_epoch(e1);
-        assert_eq!(evicted, 1);
-        assert_eq!(ARENA.len(), 1);
-        assert_eq!(MEMO.retain_epoch(e1), 1);
+        let (generation, evicted) = sweep(|q| (ARENA.clear(q), MEMO.clear(q)));
+        assert!(generation >= 2);
+        assert_eq!(evicted, (2, 1));
+        assert!(ARENA.is_empty());
         assert_eq!(MEMO.get(&(1, 1)), None);
-        assert_eq!(MEMO.get(&(2, 2)), Some(20));
 
         // The stale handle stays valid (nodes are never freed) but is no
-        // longer canonical: re-interning mints a fresh node.
+        // longer canonical: re-interning mints a fresh node, which is then
+        // the canonical one.
         assert_eq!(*stale, (1, 1));
         let fresh = ARENA.intern((1, 1));
         assert!(!std::ptr::eq(stale, fresh));
         assert_eq!(*fresh, (1, 1));
-        // The survivor is still canonical.
-        assert!(std::ptr::eq(kept, ARENA.intern((2, 2))));
+        assert!(std::ptr::eq(fresh, ARENA.intern((1, 1))));
     }
 
     #[test]

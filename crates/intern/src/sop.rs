@@ -28,16 +28,11 @@
 //! Each domain owns one [`Tables`] set, declared as a `static` next to its
 //! [`Domain`] impl: the node arena, the factor-set arena and the `add`,
 //! `mul`, `div` and `neg` memos. Nothing is shared between domains, so their
-//! occupancy is reported and swept separately. [`Tables::retain_epoch`]
-//! sweeps memos before nodes (a memo entry's insertion tag is never newer
-//! than its value node's tag) and factor sets last. A surviving node may
-//! hold a factor set with an older tag, because sums and scalings copy
-//! handles without re-interning; that is harmless because equality and
-//! hashing of factor handles depend on content only (pointer equality is
-//! just the fast path), so a later equal factor set (a fresh pointer) still
-//! makes an equal node.
+//! occupancy is reported and cleared separately. [`Tables::clear`] empties
+//! all six at once, under the quiescent [`sweep`](crate::sweep): no handle
+//! of either generation survives to be compared with the other.
 
-use crate::{f64_key, ArenaStats, ConsSet, Memo, Symbol};
+use crate::{f64_key, ArenaStats, ConsSet, Memo, Quiescent, Symbol};
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
@@ -468,17 +463,14 @@ impl<D: Domain> Tables<D> {
         ]
     }
 
-    /// Evicts entries last used before `cutoff` (see [`crate::epoch`]) and
-    /// returns how many went. Memos go before nodes and factor sets last
-    /// (see the module docs). Callers must be quiescent: no handle obtained
-    /// before the sweep may be compared against ones built after it.
-    pub fn retain_epoch(&self, cutoff: u64) -> usize {
-        self.add.retain_epoch(cutoff)
-            + self.mul.retain_epoch(cutoff)
-            + self.div.retain_epoch(cutoff)
-            + self.neg.retain_epoch(cutoff)
-            + self.exprs.retain_epoch(cutoff)
-            + self.factors.retain_epoch(cutoff)
+    /// Empties every table and returns how many entries went.
+    pub fn clear(&self, q: &Quiescent) -> usize {
+        self.add.clear(q)
+            + self.mul.clear(q)
+            + self.div.clear(q)
+            + self.neg.clear(q)
+            + self.exprs.clear(q)
+            + self.factors.clear(q)
     }
 }
 

@@ -20,18 +20,19 @@
 //!   artifact of the workspace goes through (traces, metrics snapshots,
 //!   disk-cache entries, verification reports, benchmark snapshots).
 //!
-//! Span names are interned [`Symbol`]s. Symbols are **never swept** by the
-//! epoch eviction in `stng-intern` (see `stng::memory`), so events captured
-//! before an arena sweep still render correctly after it — the recorder
-//! needs no coordination with memory management.
+//! Span names are interned [`Symbol`]s. Arena sweeps (see `stng::memory`)
+//! **never clear the symbol table**, so events captured before a sweep
+//! still render correctly after it — the recorder needs no coordination
+//! with memory management.
 //!
 //! ## Quiescence contract
 //!
 //! Rings are single-producer: only the owning thread pushes. Readers
 //! ([`recorder::snapshot`]) may run concurrently — they observe the
 //! published prefix — but [`recorder::reset`] and [`metrics::reset`] must
-//! only run at quiescent points (no lift in flight), the same contract
-//! `stng::memory::sweep` already imposes.
+//! only run at quiescent points (no lift in flight). Unlike
+//! `stng::memory::sweep`, which waits for lift pins to drain, they do not
+//! enforce this: the caller must.
 
 pub mod chrome;
 pub mod json;

@@ -28,7 +28,6 @@
 use crate::eval::{ValueEq, VcOutcome};
 use crate::lang::{Pred, QuantClause};
 use crate::vcgen::Vc;
-use std::collections::HashMap;
 use stng_intern::guard::Budget;
 use stng_ir::slots::{
     exec_stmts, lane_mask, lanes_in, BatchScratch, CompileErr, Compiler, EvalErr, Program,
@@ -95,22 +94,11 @@ enum CompiledPred {
 pub struct CompiledVc {
     /// The VC's name (for counterexample reporting).
     pub name: String,
-    /// Hypotheses, each tagged with a set-wide *structural* id: hypotheses
-    /// with identical source predicates share an id, so batch scans can
-    /// memoize their per-state verdicts across VCs (a hypothesis verdict is
-    /// a pure function of (predicate, pre-state), and `false` and `Err` are
-    /// observationally the same — both make the lane vacuous).
-    hypotheses: Vec<(u32, CompiledPred)>,
+    hypotheses: Vec<CompiledPred>,
     body: Vec<SlotStmt>,
     int_scalars: Vec<u32>,
     conclusion: CompiledPred,
 }
-
-/// Memo of hypothesis verdicts for [`CompiledVcSet::check_batch`], keyed by
-/// (structural hypothesis id, caller-chosen state key). Callers share one
-/// memo across every VC scanned against the same state set (one capture
-/// unit, say) and must not reuse it across state sets.
-pub type HypMemo = HashMap<(u32, usize), bool>;
 
 /// A batch of compiled VCs sharing one constant pool and function table.
 #[derive(Debug)]
@@ -133,19 +121,11 @@ impl CompiledVcSet {
     pub fn compile(vcs: &[Vc], map: &SlotMap) -> Result<CompiledVcSet, CompileErr> {
         let mut compiler = Compiler::new(map);
         let mut out = Vec::with_capacity(vcs.len());
-        // Structural hypothesis ids: VC families share invariant predicates
-        // verbatim (the same invariant appears as a hypothesis of several
-        // VCs), so identical source predicates get one id for memoization.
-        let mut hyp_ids: HashMap<String, u32> = HashMap::new();
         for vc in vcs {
             let hypotheses = vc
                 .hypotheses
                 .iter()
-                .map(|h| {
-                    let next = hyp_ids.len() as u32;
-                    let uid = *hyp_ids.entry(format!("{h:?}")).or_insert(next);
-                    compile_pred(&mut compiler, map, h).map(|p| (uid, p))
-                })
+                .map(|h| compile_pred(&mut compiler, map, h))
                 .collect::<Result<_, _>>()?;
             compiler.clear_env();
             let body = compiler.compile_stmts(&vc.body)?;
@@ -171,7 +151,7 @@ impl CompiledVcSet {
 
     /// Checks VC `k` against one pre-state — the compiled equivalent of
     /// [`check_vc_on_state`](crate::eval::check_vc_on_state), as a one-lane
-    /// call of [`check_batch`](Self::check_batch) with a fresh memo.
+    /// call of [`check_batch`](Self::check_batch).
     ///
     /// # Errors
     ///
@@ -188,10 +168,8 @@ impl CompiledVcSet {
         self.check_batch(
             k,
             &[pre],
-            &[0],
             sc,
             &mut self.batch_scratch(),
-            &mut HypMemo::new(),
             &Budget::unlimited(),
             &mut out,
         );
@@ -216,28 +194,17 @@ impl CompiledVcSet {
     /// body step and 1 per quantifier point, polled at batch granularity,
     /// so a tripped budget may surface on a different lane than a one-lane
     /// sweep would pick.
-    ///
-    /// `state_keys` names each lane's pre-state (parallel to `pres`) for
-    /// the hypothesis `memo`: VC families share invariant hypotheses, so
-    /// one memo reused across the VCs of a scan evaluates each distinct
-    /// (hypothesis, state) pair once. A hypothesis verdict is a pure
-    /// function of that pair, and `false`/`Err` both read as "vacuous", so
-    /// memoization is observationally exact.
-    #[allow(clippy::too_many_arguments)]
     pub fn check_batch<V: ValueEq>(
         &self,
         k: usize,
         pres: &[&SlotState<V>],
-        state_keys: &[usize],
         sc: &mut Scratch<V>,
         bsc: &mut BatchScratch<V>,
-        memo: &mut HypMemo,
         budget: &Budget,
         out: &mut Vec<Result<VcOutcome, EvalErr>>,
     ) {
         let lanes = pres.len();
         debug_assert!((1..=SLOT_BATCH_MAX_LANES).contains(&lanes));
-        debug_assert_eq!(state_keys.len(), lanes);
         let vc = &self.vcs[k];
         out.clear();
         out.resize(lanes, Ok(VcOutcome::Vacuous));
@@ -247,32 +214,14 @@ impl CompiledVcSet {
         let mut active = lane_mask(lanes);
 
         // Hypotheses: a lane whose hypothesis is false *or errors* drops out
-        // as vacuous, mirroring the tree walker. Memo hits skip evaluation;
-        // misses evaluate batched and are recorded.
-        for (uid, hyp) in &vc.hypotheses {
+        // as vacuous, mirroring the tree walker.
+        for hyp in &vc.hypotheses {
             if active == 0 {
                 break;
             }
-            let mut miss = 0u64;
-            for lane in lanes_in(active) {
-                match memo.get(&(*uid, state_keys[lane])) {
-                    Some(true) => {}
-                    Some(false) => active &= !(1u64 << lane),
-                    None => miss |= 1u64 << lane,
-                }
-            }
-            if miss != 0 {
-                let passed = eval_pred_batch(
-                    hyp, &self.set, &pre, &pre_refs, sc, bsc, miss, budget, &mut errs,
-                );
-                for lane in lanes_in(miss) {
-                    let ok = passed & (1u64 << lane) != 0;
-                    memo.insert((*uid, state_keys[lane]), ok);
-                    if !ok {
-                        active &= !(1u64 << lane);
-                    }
-                }
-            }
+            active &= eval_pred_batch(
+                hyp, &self.set, &pre, &pre_refs, sc, bsc, active, budget, &mut errs,
+            );
         }
         for e in errs.iter_mut() {
             *e = None;
@@ -951,24 +900,17 @@ mod tests {
                     .is_some(),
                 "every shared lane must bind one payload for b"
             );
-            // Lanes 0/2 and 1/3 carry identical states under shared keys, so
-            // the hypothesis memo's cross-lane and cross-VC reuse is on the
-            // differential path too.
-            let keys = [0usize, 1, 0, 1];
             let mut results = Vec::new();
             for lanes in [&deep, &shared] {
                 let refs: Vec<&SlotState<f64>> = lanes.iter().collect();
-                let mut memo = HypMemo::new();
                 let mut per_vc = Vec::new();
                 for (k, vc) in vcs.iter().enumerate() {
                     let mut out = Vec::new();
                     compiled.check_batch(
                         k,
                         &refs,
-                        &keys,
                         &mut sc,
                         &mut bsc,
-                        &mut memo,
                         &Budget::unlimited(),
                         &mut out,
                     );

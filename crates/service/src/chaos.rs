@@ -9,9 +9,8 @@
 //! RAII guard that holds a global lock for the duration of the chaos run
 //! and disarms the registry on drop (including on panic/failed assert).
 //! A test that reruns a batch without faults calls [`ChaosGuard::disarm`]
-//! and keeps the guard: `run_batch` sweeps the global arenas, which is only
-//! safe while no other chaos test is mid-lift, so the rerun must stay under
-//! the lock.
+//! and keeps the guard, so no other chaos test can arm a plan while the
+//! rerun expects none.
 
 use std::sync::{Mutex, MutexGuard};
 use stng_intern::guard::fault::{self, FaultPlan, Injected};

@@ -196,8 +196,9 @@ fn capture_faults_are_classified_never_wedged() {
 
     // Disarmed rerun over the same cache directory: every faulted kernel
     // recovers — the poisoned `OnceLock` never wedges the session. The
-    // guard keeps the chaos lock: the rerun sweeps the global arenas, which
-    // must not happen while another chaos test is lifting.
+    // guard keeps the chaos lock, so no other chaos test can arm its plan
+    // while this rerun expects no faults. (The rerun's arena sweep needs no
+    // lock: it waits for every pinned lift.)
     guard.disarm();
     let report2 = batch::run_batch(&sources, &options).expect("cache dir usable");
     let pass2 = &report2.passes[0];

@@ -50,7 +50,7 @@ use stng_ir::slots::{
     SLOT_BATCH_MAX_LANES,
 };
 use stng_ir::value::{ModInt, MOD_FIELD};
-use stng_pred::compile::{CompiledVcSet, HypMemo};
+use stng_pred::compile::CompiledVcSet;
 use stng_pred::eval::{check_vc_on_state, VcOutcome};
 use stng_pred::vcgen::{Vc, VcScope};
 use stng_sym::choose_small_bounds;
@@ -494,20 +494,13 @@ impl CheckSession {
         let mut bsc = compiled.batch_scratch::<ModInt>();
         let mut out = Vec::new();
         let mut lanes: Vec<&SlotState<ModInt>> = Vec::new();
-        let mut keys: Vec<usize> = Vec::new();
         let mut origins: Vec<&StateOrigin> = Vec::new();
-        // Hypothesis-verdict memo, shared across the candidate's VCs for
-        // this unit: VC families repeat invariant hypotheses on the same
-        // states, so each distinct (hypothesis, state) pair evaluates once.
-        let mut memo = HypMemo::new();
         for (k, vc) in vcs.iter().enumerate() {
             lanes.clear();
-            keys.clear();
             origins.clear();
-            for (j, (origin, state)) in unit.states.iter().enumerate() {
+            for (origin, state) in &unit.states {
                 if origin.in_scope(&vc.scope) {
                     lanes.push(state);
-                    keys.push(j);
                     origins.push(origin);
                 }
             }
@@ -521,16 +514,7 @@ impl CheckSession {
                     return Some(Err(self.budget_error()));
                 }
                 self.batch_scans.fetch_add(1, Ordering::Relaxed);
-                compiled.check_batch(
-                    k,
-                    chunk,
-                    &keys[offset..end],
-                    &mut sc,
-                    &mut bsc,
-                    &mut memo,
-                    &self.budget,
-                    &mut out,
-                );
+                compiled.check_batch(k, chunk, &mut sc, &mut bsc, &self.budget, &mut out);
                 for (lane, outcome) in out.iter().enumerate() {
                     match outcome {
                         Ok(VcOutcome::Violated) => {

@@ -36,7 +36,7 @@ pub fn arena_stats() -> Vec<stng_intern::ArenaStats> {
     out
 }
 
-/// Sweeps every arena/memo owned by this crate; returns entries evicted.
-pub fn retain_epoch(cutoff: u64) -> usize {
-    norm::retain_epoch(cutoff) + lin::retain_epoch(cutoff)
+/// Empties every arena/memo owned by this crate; returns entries cleared.
+pub fn clear(q: &stng_intern::Quiescent) -> usize {
+    norm::clear(q) + lin::clear(q)
 }

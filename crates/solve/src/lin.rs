@@ -26,8 +26,7 @@
 //!    core is UNSAT without elimination. Each core and each query carries a
 //!    64-bit signature, the OR of one content-hashed bit per row, and only
 //!    cores whose signature is a subset of the query's are compared row by
-//!    row. The bits hash row values, not row addresses, so the filter stays
-//!    exact after a sweep re-interns a surviving core's rows;
+//!    row;
 //! 3. remaining queries run the slot-addressed dense elimination of
 //!    [`crate::lin_compile`], which also extracts new cores from its
 //!    contradiction provenance.
@@ -39,7 +38,7 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
-use stng_intern::{epoch, ArenaStats, ConsSet, Memo, Symbol};
+use stng_intern::{ArenaStats, ConsSet, Memo, Quiescent, Symbol};
 use stng_ir::ir::{Affine, CmpOp, IrExpr};
 
 /// Maximum number of constraints Fourier–Motzkin is allowed to generate
@@ -103,17 +102,14 @@ impl std::borrow::Borrow<Affine> for RowRef {
 /// elimination with a pointer-hash table lookup.
 static FM_MEMO: Memo<Vec<RowRef>, bool> = Memo::new();
 
-/// A learned core: a sorted constraint subset, its row signature, and the
-/// epoch of its last use.
+/// A learned core: a sorted constraint subset and its row signature.
 struct LearnedCore {
     sig: u64,
     rows: Vec<Affine>,
-    tag: AtomicU64,
 }
 
 /// Learned infeasibility cores: minimal constraint subsets (sorted, so
-/// subset tests are linear merges) proven UNSAT by elimination, each tagged
-/// with the epoch of its last use so sweeps keep hot cores.
+/// subset tests are linear merges) proven UNSAT by elimination.
 static CORES: OnceLock<RwLock<Vec<LearnedCore>>> = OnceLock::new();
 
 /// Number of feasibility queries short-circuited by a learned core.
@@ -139,24 +135,15 @@ pub fn arena_stats() -> Vec<ArenaStats> {
     ]
 }
 
-/// Sweeps interned rows, Fourier–Motzkin verdicts, and learned cores.
-/// Verdict-memo keys hold raw row addresses, so evicting *any* row must
-/// drop *every* memo entry — a surviving entry could otherwise alias a
-/// recycled allocation; the memo is cleared wholesale (it rebuilds in one
-/// pass). Rows themselves are only referenced by live [`LinCtx`]s, none of
-/// which exist across a sweep (sweeps run between pipeline invocations
-/// only), and cores are owned constraint subsets, so both evict safely.
-pub fn retain_epoch(cutoff: u64) -> usize {
-    let mut evicted = ROWS.retain_epoch(cutoff);
-    evicted += FM_MEMO.retain_epoch(u64::MAX);
-    if let Some(lock) = CORES.get() {
-        let mut cores = lock.write().expect("core store poisoned");
-        let before = cores.len();
-        cores.retain(|core| core.tag.load(Ordering::Relaxed) >= cutoff);
-        cores.shrink_to_fit();
-        evicted += before - cores.len();
-    }
-    evicted
+/// Empties the interned rows, the Fourier–Motzkin verdicts and the learned
+/// cores; returns the number of entries cleared. Rows are only referenced
+/// by live [`LinCtx`]s, which no pinned lift keeps past its pin, and cores
+/// own their rows.
+pub fn clear(q: &Quiescent) -> usize {
+    let cores = CORES.get().map_or(0, |lock| {
+        std::mem::take(&mut *lock.write().expect("core store poisoned")).len()
+    });
+    ROWS.clear(q) + FM_MEMO.clear(q) + cores
 }
 
 /// `needle ⊆ haystack`, both sorted ascending by row value.
@@ -181,9 +168,8 @@ where
 
 /// The signature bit of one canonical row: a hash of its coefficients and
 /// constant picks one of 64 bits. Variables hash by their interned
-/// [`Symbol`] address, which is the identity `Affine` equality itself uses
-/// (symbols are never swept), so value-equal rows get the same bit whether
-/// or not [`ROWS`] has re-interned them since.
+/// [`Symbol`] address, which is the identity `Affine` equality itself uses,
+/// so value-equal rows get the same bit whatever their [`ROWS`] address.
 fn row_bit(row: &Affine) -> u64 {
     const K: u64 = 0x517c_c1b7_2722_0a95;
     let mut h = (row.constant as u64).wrapping_mul(K);
@@ -201,21 +187,19 @@ fn signature<'a>(rows: impl IntoIterator<Item = &'a Affine>) -> u64 {
 }
 
 /// Checks `key` (sorted, with signature `sig`) against the learned cores; a
-/// containing query is UNSAT by monotonicity. A hit re-tags the first
-/// containing core in store order with the current epoch.
+/// containing query is UNSAT by monotonicity.
 fn core_subsumed(key: &[RowRef], sig: u64) -> bool {
     let Some(lock) = CORES.get() else {
         return false;
     };
     let cores = lock.read().expect("core store poisoned");
-    let hit = cores.iter().find(|core| {
+    let hit = cores.iter().any(|core| {
         core.sig & !sig == 0 && core.rows.len() <= key.len() && sorted_subset(&core.rows, key)
     });
-    if let Some(core) = hit {
-        core.tag.store(epoch::current(), Ordering::Relaxed);
+    if hit {
         CORE_HITS.fetch_add(1, Ordering::Relaxed);
     }
-    hit.is_some()
+    hit
 }
 
 /// Records a freshly learned core (already minimized and verified UNSAT by
@@ -241,7 +225,6 @@ fn learn_core(mut rows: Vec<Affine>) {
     cores.push(LearnedCore {
         sig: signature(&rows),
         rows,
-        tag: AtomicU64::new(epoch::current()),
     });
 }
 
@@ -706,22 +689,6 @@ pub mod model {
                     .expect("core store poisoned")
                     .iter()
                     .map(|core| core.rows.clone())
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// The epoch each learned core was last used in, in store order (the
-    /// order of [`learned_cores`]). A core that answers a query is re-tagged
-    /// with the current epoch.
-    pub fn learned_core_epochs() -> Vec<u64> {
-        CORES
-            .get()
-            .map(|lock| {
-                lock.read()
-                    .expect("core store poisoned")
-                    .iter()
-                    .map(|core| core.tag.load(Ordering::Relaxed))
                     .collect()
             })
             .unwrap_or_default()

@@ -98,12 +98,10 @@ pub fn arena_stats() -> Vec<stng_intern::ArenaStats> {
     stats
 }
 
-/// Sweeps the normal-form arena and memo tables, evicting entries last used
-/// before `cutoff`. Returns the total number of entries evicted. Same
-/// quiescence contract and sweep order (memos, nodes, factor sets) as
-/// `stng_sym::retain_epoch`.
-pub fn retain_epoch(cutoff: u64) -> usize {
-    MEMO_SUBST.retain_epoch(cutoff) + TABLES.retain_epoch(cutoff)
+/// Empties the normal-form and factor-set arenas and their memos; returns
+/// the number of entries cleared.
+pub fn clear(q: &stng_intern::Quiescent) -> usize {
+    MEMO_SUBST.clear(q) + TABLES.clear(q)
 }
 
 /// Structural equality up to a small coefficient tolerance (verification is

@@ -1,19 +1,15 @@
 //! Property test: the signature pre-filter in front of the learned-core
 //! scan is exact. Over random constraint sets, a query key that contains a
-//! learned core is answered by the core, and the core re-tagged is the
-//! first containing one in store order — what the unfiltered linear scan
-//! would pick. Every query runs after a partial sweep that evicted the
-//! surviving cores' rows from the row arena, so the key's rows are freshly
-//! re-interned at new addresses.
+//! learned core is answered by a core with exactly one hit, and a key that
+//! contains none (by the unfiltered linear scan) is not.
 //!
-//! Lives in its own integration-test binary with a single test: it sweeps
-//! the process-global arenas and reads the global core-hit counter, which
-//! no concurrently running test may touch.
+//! Lives in its own integration-test binary with a single test: it reads
+//! the global core-hit counter, which no concurrently running test may
+//! touch.
 
 use std::collections::BTreeSet;
-use stng_intern::epoch;
 use stng_ir::ir::Affine;
-use stng_solve::lin::{core_hit_count, model, retain_epoch, LinCtx};
+use stng_solve::lin::{core_hit_count, model, LinCtx};
 
 /// SplitMix64: a small seeded generator, so failures replay exactly.
 struct Rng(u64);
@@ -65,12 +61,10 @@ fn contradiction(rng: &mut Rng) -> [Affine; 2] {
 }
 
 #[test]
-fn core_prefilter_matches_the_linear_scan_across_a_partial_sweep() {
+fn core_prefilter_matches_the_linear_scan() {
     let mut rng = Rng(0xc0de_f17e);
     let mut answered_by_core = 0;
-    let mut first_match_mattered = 0;
     for round in 0..24 {
-        // Rows interned in this epoch...
         let contexts: Vec<LinCtx> = (0..6)
             .map(|_| {
                 let mut ctx = LinCtx::new();
@@ -84,18 +78,13 @@ fn core_prefilter_matches_the_linear_scan_across_a_partial_sweep() {
                 ctx
             })
             .collect();
-        // ...cores learned (or re-tagged) in the next one.
-        let cutoff = epoch::advance();
         for ctx in &contexts {
             assert!(ctx.is_infeasible(), "a planted contradiction is UNSAT");
         }
-        drop(contexts);
-        // The partial sweep evicts every row interned before `cutoff`,
-        // including the rows of the cores that survive it.
-        let evicted = retain_epoch(cutoff);
-        assert!(evicted > 0, "round {round}: the sweep evicted nothing");
-        let survivors = model::learned_cores();
-        assert!(!survivors.is_empty(), "round {round}: no core survived");
+        assert!(
+            !model::learned_cores().is_empty(),
+            "round {round}: no core learned"
+        );
 
         for q in 0..16 {
             let cores = model::learned_cores();
@@ -122,7 +111,6 @@ fn core_prefilter_matches_the_linear_scan_across_a_partial_sweep() {
                 .map(|(i, _)| i)
                 .collect();
 
-            let now = epoch::advance();
             let hits_before = core_hit_count();
             let infeasible = model::compiled_infeasible(&rows);
             let hits = core_hit_count() - hits_before;
@@ -133,19 +121,7 @@ fn core_prefilter_matches_the_linear_scan_across_a_partial_sweep() {
                         hits, 1,
                         "round {round} query {q}: core {first} is contained but was skipped"
                     );
-                    let retagged: Vec<usize> = model::learned_core_epochs()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &tag)| tag == now)
-                        .map(|(i, _)| i)
-                        .collect();
-                    assert_eq!(
-                        retagged,
-                        vec![first],
-                        "round {round} query {q}: must re-tag the first containing core"
-                    );
                     answered_by_core += 1;
-                    first_match_mattered += (containing.len() > 1) as usize;
                 }
                 None => assert_eq!(hits, 0, "round {round} query {q}: no core is contained"),
             }
@@ -154,9 +130,5 @@ fn core_prefilter_matches_the_linear_scan_across_a_partial_sweep() {
     assert!(
         answered_by_core >= 200,
         "only {answered_by_core} core answers"
-    );
-    assert!(
-        first_match_mattered >= 10,
-        "only {first_match_mattered} keys contained several cores"
     );
 }

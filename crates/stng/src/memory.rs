@@ -7,12 +7,12 @@
 //!
 //! * [`arena_stats`] — an occupancy snapshot (entries + shallow bytes) of
 //!   each arena and memo table, plus the symbol table.
-//! * [`sweep`] — advance the [`stng_intern::epoch`] and evict everything not
-//!   used in the new epoch. Called between batches (at a quiescent point —
-//!   no live `SymExpr`/`NormExpr` handles), it returns the tables to their
-//!   empty state while keeping previously returned reports valid: cached
-//!   [`crate::pipeline::KernelReport`]s hold `IrExpr` trees and strings, not
-//!   arena handles.
+//! * [`sweep`] — wait until no lift holds a [`stng_intern::Pin`] (every
+//!   [`crate::pipeline::Stng::lift_source`] and every CEGIS run holds one),
+//!   then empty every table. Lifts that start meanwhile wait for the sweep
+//!   to finish. Previously returned reports stay valid: cached
+//!   [`crate::pipeline::KernelReport`]s hold `IrExpr` trees and strings,
+//!   not arena handles.
 //!
 //! Symbols are exempt: they are tiny, embedded in long-lived structures, and
 //! shared by every layer, so sweeping them would buy little and cost
@@ -30,7 +30,7 @@ pub fn arena_stats() -> Vec<ArenaStats> {
 }
 
 /// Total live entries across all sweepable tables (everything except the
-/// symbol table). The quantity [`sweep`] strictly reduces when non-zero.
+/// symbol table). A [`sweep`] sets it to 0.
 pub fn sweepable_entries() -> usize {
     stng_sym::arena_stats()
         .iter()
@@ -39,24 +39,24 @@ pub fn sweepable_entries() -> usize {
         .sum()
 }
 
-/// Result of one epoch sweep.
+/// Result of one sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepReport {
-    /// The epoch that became current.
+    /// The sweep generation: 2 after the first sweep of the process, one
+    /// more after each later one.
     pub epoch: u64,
     /// Entries evicted across all arenas and memo tables.
     pub evicted: usize,
 }
 
-/// Advances the global epoch and evicts every arena/memo entry last used
-/// before it. See the module docs for the quiescence contract; subsequent
-/// lifts re-intern what they need and behave identically.
+/// Empties every arena and memo table once no lift is pinned (see the
+/// module docs); later lifts re-intern what they need and behave
+/// identically.
+///
+/// # Panics
+///
+/// When called from inside a lift (a thread holding a pin).
 pub fn sweep() -> SweepReport {
-    let epoch = stng_intern::epoch::advance();
-    let evicted = stng_sym::retain_epoch(epoch) + stng_solve::retain_epoch(epoch);
+    let (epoch, evicted) = stng_intern::sweep(|q| stng_sym::clear(q) + stng_solve::clear(q));
     SweepReport { epoch, evicted }
 }
-
-// Sweeping is tested in `tests/memory_sweep.rs`: a sweep is only legal at
-// quiescent points, and the unit-test harness runs other lifting tests
-// concurrently in the same process, so the test needs its own binary.

@@ -237,13 +237,15 @@ impl Stng {
         self
     }
 
-    /// Lifts every candidate kernel in a Fortran-subset source file.
+    /// Lifts every candidate kernel in a Fortran-subset source file, pinned
+    /// against [`crate::memory::sweep`] throughout.
     ///
     /// # Errors
     ///
     /// Returns a parse error message when the source is malformed; failures
     /// of individual kernels are reported per kernel, not as errors.
     pub fn lift_source(&self, source: &str) -> Result<LiftReport, String> {
+        let _pin = stng_intern::pin();
         let program = parse_program(source).map_err(|e| e.to_string())?;
         let mut report = LiftReport::default();
         for proc in &program.procedures {

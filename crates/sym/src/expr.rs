@@ -52,13 +52,11 @@ pub fn arena_stats() -> Vec<stng_intern::ArenaStats> {
     TABLES.stats()
 }
 
-/// Sweeps the expression arena and memo tables, evicting entries last used
-/// before `cutoff` (see `stng_intern::epoch`), memos first and factor sets
-/// last. Returns the total number of entries evicted. Callers must be
-/// quiescent: no `SymExpr` handle obtained before the sweep may be compared
-/// against ones built after it.
-pub fn retain_epoch(cutoff: u64) -> usize {
-    TABLES.retain_epoch(cutoff)
+/// Empties the expression and factor-set arenas and the operation memos;
+/// returns the number of entries cleared. Reached through
+/// `stng_intern::sweep`, which runs only while no lift is pinned.
+pub fn clear(q: &stng_intern::Quiescent) -> usize {
+    TABLES.clear(q)
 }
 
 #[cfg(test)]

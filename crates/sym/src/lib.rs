@@ -22,4 +22,4 @@ pub mod expr;
 
 pub use anti::{anti_unify, generalize, Template, TemplateExpr};
 pub use exec::{choose_small_bounds, symbolic_execute, SymbolicRun};
-pub use expr::{arena_stats, retain_epoch, SymExpr};
+pub use expr::{arena_stats, clear, SymExpr};

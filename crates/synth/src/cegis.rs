@@ -243,6 +243,7 @@ pub struct SynthesisOutcome {
 }
 
 /// Synthesizes a verified summary for a kernel: the one CEGIS entry point.
+/// The run holds a [`stng_intern::Pin`], so no arena sweep overlaps it.
 ///
 /// Returns the phase timings of whatever checking ran beside the result —
 /// including on the failure paths, where there is no [`SynthesisOutcome`]
@@ -271,6 +272,7 @@ pub fn synthesize_governed_with_phases(
     config: &SynthesisConfig,
     budget: &Budget,
 ) -> (Result<SynthesisOutcome, SynthesisFailure>, PhaseTimings) {
+    let _pin = stng_intern::pin();
     let start = Instant::now();
     if let Err(reason) = budget.check_time() {
         event(

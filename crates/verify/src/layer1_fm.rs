@@ -342,7 +342,7 @@ pub fn run(deep: bool) -> Vec<CheckReport> {
 
         // Bound the global FM verdict memo: enumeration would otherwise
         // leave millions of entries behind.
-        stng_solve::retain_epoch(u64::MAX);
+        stng_intern::sweep(stng_solve::clear);
     }
 
     vec![agreement, tightening, cores]

@@ -40,7 +40,7 @@ use stng_ir::ir::{CmpOp, IrExpr};
 use stng_ir::lower::kernel_from_source;
 use stng_ir::slots::{SlotState, SLOT_BATCH_MAX_LANES};
 use stng_ir::value::ModInt;
-use stng_pred::compile::{CompiledVcSet, HypMemo};
+use stng_pred::compile::CompiledVcSet;
 use stng_pred::eval::{check_vc_on_state, VcOutcome};
 use stng_pred::lang::{OutEq, QuantBound, QuantClause};
 use stng_pred::vcgen::{Vc, VcScope};
@@ -151,25 +151,10 @@ fn check_set(session: &CheckSession, vcs: &[Vc], check: &mut CheckReport, outcom
         // Whole-unit batches, as the screen runs them: `batched[k][s]` is
         // VC `k` on state `s`.
         let mut batched = vec![Vec::with_capacity(unit.states.len()); vcs.len()];
-        let keys: Vec<usize> = (0..unit.states.len()).collect();
-        for (chunk, keys) in unit
-            .states
-            .chunks(SLOT_BATCH_MAX_LANES)
-            .zip(keys.chunks(SLOT_BATCH_MAX_LANES))
-        {
+        for chunk in unit.states.chunks(SLOT_BATCH_MAX_LANES) {
             let lanes: Vec<&SlotState<ModInt>> = chunk.iter().map(|(_, st)| st).collect();
-            let mut memo = HypMemo::new();
             for (k, per_state) in batched.iter_mut().enumerate() {
-                compiled.check_batch(
-                    k,
-                    &lanes,
-                    keys,
-                    &mut sc,
-                    &mut bsc,
-                    &mut memo,
-                    &Budget::unlimited(),
-                    &mut out,
-                );
+                compiled.check_batch(k, &lanes, &mut sc, &mut bsc, &Budget::unlimited(), &mut out);
                 per_state.append(&mut out);
             }
         }
