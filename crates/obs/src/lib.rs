@@ -69,6 +69,18 @@ pub mod names {
     /// One `ProofSession::prove` obligation (arg: remaining case-split
     /// depth).
     pub static PROVE_OBLIG: Name = Name::new("prove.oblig");
+    /// Postcondition synthesis for one kernel: two symbolic runs, then per
+    /// output array the region bounds, template, hole solving and
+    /// inductive check.
+    pub static SYNTH_POSTCOND: Name = Name::new("synth.postcond");
+    /// Matching one quantifier bound to the written region.
+    pub static SYNTH_REGION_BOUND: Name = Name::new("synth.region_bound");
+    /// Anti-unifying one output array's observations into a template.
+    pub static SYNTH_GENERALIZE: Name = Name::new("synth.generalize");
+    /// Solving one template's holes against the observations.
+    pub static SYNTH_SOLVE_TEMPLATE: Name = Name::new("synth.solve_template");
+    /// Re-checking one candidate right-hand side against one symbolic run.
+    pub static SYNTH_CHECK_RUN: Name = Name::new("synth.check_run");
     /// Symbolic execution for template generation.
     pub static SYM_EXEC: Name = Name::new("sym.exec");
     /// VC generation for one candidate.

@@ -10,15 +10,16 @@
 //! There is one engine, [`CompiledVcSet::check_batch`], which runs a VC
 //! across up to [`SLOT_BATCH_MAX_LANES`] captured states in one op-major
 //! pass; [`CompiledVcSet::check`] is its one-lane call. Semantics are the
-//! tree-walking evaluator's, reproduced exactly — including the order
-//! hypotheses are screened in, evaluation (and therefore error) order
-//! inside clauses, short-circuit conjunction, and vacuous-on-hypothesis-
-//! error. The tree walker is the oracle only: the differential property
-//! test in `stng-solve` (`tests/compiled_differential.rs`) pins
-//! compiled-vs-interpreted agreement down over the whole corpus, error cases
-//! included. Constructs the bytecode cannot reproduce exactly fail to
-//! compile with [`CompileErr`], which the bounded checker reports as an
-//! error.
+//! tree-walking evaluator's, reproduced exactly — including the
+//! implication-first order (body and conclusion on every lane, hypotheses
+//! only on lanes where the conclusion did not hold), evaluation (and
+//! therefore error) order inside clauses, short-circuit conjunction, and
+//! vacuous-on-hypothesis-error. The tree walker is the oracle only: the
+//! differential property test in `stng-solve`
+//! (`tests/compiled_differential.rs`) pins compiled-vs-interpreted
+//! agreement down over the whole corpus, error cases included. Constructs
+//! the bytecode cannot reproduce exactly fail to compile with
+//! [`CompileErr`], which the bounded checker reports as an error.
 //!
 //! Quantified variables never touch the state: each clause's bound variables
 //! are pinned to low integer registers of its per-point program, so
@@ -156,8 +157,9 @@ impl CompiledVcSet {
     /// # Errors
     ///
     /// Like the interpreter: hypothesis failures are *not* errors (they make
-    /// the state vacuous); body and conclusion evaluation failures
-    /// propagate, and the bounded checker treats them as rejections.
+    /// the state vacuous); body and conclusion evaluation failures on a
+    /// state where every hypothesis holds propagate, and the bounded
+    /// checker treats them as rejections.
     pub fn check<V: ValueEq>(
         &self,
         k: usize,
@@ -185,6 +187,14 @@ impl CompiledVcSet {
     /// one pass, with predicate programs executed op-major/lane-minor over
     /// SoA-transposed columns.
     ///
+    /// The VC is checked as the implication it is, conclusion first: the
+    /// body runs on every lane, the conclusion is evaluated on every lane
+    /// whose body succeeded, and the hypotheses are evaluated only on the
+    /// lanes where the conclusion did not hold. A lane whose hypothesis is
+    /// false or errors there is `Vacuous`; otherwise it keeps its body or
+    /// conclusion error, or is `Violated`. On a correct candidate every
+    /// lane holds and no hypothesis is evaluated at all.
+    ///
     /// Each lane's outcome is the one a lane-by-lane tree walk would give,
     /// and which evaluation error fires first does not depend on the batch:
     /// mask narrowing reproduces the hypothesis short-circuit, bodies run
@@ -207,79 +217,76 @@ impl CompiledVcSet {
         debug_assert!((1..=SLOT_BATCH_MAX_LANES).contains(&lanes));
         let vc = &self.vcs[k];
         out.clear();
-        out.resize(lanes, Ok(VcOutcome::Vacuous));
+        out.resize(lanes, Ok(VcOutcome::Violated));
         let mut errs: Vec<Option<EvalErr>> = vec![None; lanes];
-        let pre_refs: Vec<Option<&SlotState<V>>> = pres.iter().map(|s| Some(*s)).collect();
-        let pre = SlotBatch::transpose(&pre_refs);
-        let mut active = lane_mask(lanes);
-
-        // Hypotheses: a lane whose hypothesis is false *or errors* drops out
-        // as vacuous, mirroring the tree walker.
-        for hyp in &vc.hypotheses {
-            if active == 0 {
-                break;
-            }
-            active &= eval_pred_batch(
-                hyp, &self.set, &pre, &pre_refs, sc, bsc, active, budget, &mut errs,
-            );
-        }
-        for e in errs.iter_mut() {
-            *e = None;
-        }
-        if active == 0 {
-            return;
-        }
 
         // Bodies are loop-free and run per lane through the scalar statement
         // executor (assignment dispatch is dynamic per state), so errors and
         // the body fuel charge are per lane.
+        let mut ran = 0u64;
         let mut posts: Vec<Option<SlotState<V>>> = (0..lanes).map(|_| None).collect();
-        for lane in lanes_in(active) {
-            let mut post = pres[lane].clone();
+        for (lane, pre) in pres.iter().enumerate() {
+            let mut post = (*pre).clone();
             for &slot in &vc.int_scalars {
                 post.seed_int_slot(slot);
             }
             let mut steps = 0u64;
-            match exec_stmts(&vc.body, &self.set, &mut post, sc, &mut steps, 1_000_000) {
-                Ok(()) => {}
-                Err(e) => {
-                    out[lane] = Err(e);
-                    active &= !(1u64 << lane);
-                    continue;
-                }
+            if let Err(e) = exec_stmts(&vc.body, &self.set, &mut post, sc, &mut steps, 1_000_000) {
+                out[lane] = Err(e);
+                continue;
             }
             if budget.consume_check_fuel(steps).is_err() {
                 out[lane] = Err(EvalErr::Budget);
-                active &= !(1u64 << lane);
                 continue;
             }
             posts[lane] = Some(post);
-        }
-        if active == 0 {
-            return;
+            ran |= 1u64 << lane;
         }
 
-        let post_refs: Vec<Option<&SlotState<V>>> = posts.iter().map(Option::as_ref).collect();
-        let post = SlotBatch::transpose(&post_refs);
-        let held = eval_pred_batch(
-            &vc.conclusion,
-            &self.set,
-            &post,
-            &post_refs,
-            sc,
-            bsc,
-            active,
-            budget,
-            &mut errs,
-        );
-        for lane in lanes_in(active) {
-            out[lane] = if held & (1u64 << lane) != 0 {
-                Ok(VcOutcome::Holds)
-            } else if let Some(e) = errs[lane] {
-                Err(e)
-            } else {
-                Ok(VcOutcome::Violated)
-            };
+        let mut held = 0u64;
+        if ran != 0 {
+            let post_refs: Vec<Option<&SlotState<V>>> = posts.iter().map(Option::as_ref).collect();
+            let post = SlotBatch::transpose(&post_refs);
+            held = eval_pred_batch(
+                &vc.conclusion,
+                &self.set,
+                &post,
+                &post_refs,
+                sc,
+                bsc,
+                ran,
+                budget,
+                &mut errs,
+            );
+            for lane in lanes_in(ran) {
+                if held & (1u64 << lane) != 0 {
+                    out[lane] = Ok(VcOutcome::Holds);
+                } else if let Some(e) = errs[lane] {
+                    out[lane] = Err(e);
+                }
+            }
+        }
+
+        // Hypotheses, only where the conclusion did not hold: a lane whose
+        // hypothesis is false *or errors* drops out as vacuous.
+        let failed = lane_mask(lanes) & !held;
+        if failed == 0 || vc.hypotheses.is_empty() {
+            return;
+        }
+        errs.fill(None);
+        let pre_refs: Vec<Option<&SlotState<V>>> = pres.iter().map(|s| Some(*s)).collect();
+        let pre = SlotBatch::transpose(&pre_refs);
+        let mut hyps_hold = failed;
+        for hyp in &vc.hypotheses {
+            if hyps_hold == 0 {
+                break;
+            }
+            hyps_hold &= eval_pred_batch(
+                hyp, &self.set, &pre, &pre_refs, sc, bsc, hyps_hold, budget, &mut errs,
+            );
+        }
+        for lane in lanes_in(failed & !hyps_hold) {
+            out[lane] = Ok(VcOutcome::Vacuous);
         }
     }
 }
@@ -933,6 +940,121 @@ mod tests {
                 results.push(per_vc);
             }
             assert_eq!(results[0], results[1], "deep-copied vs shared lanes");
+        }
+    }
+
+    /// The implication-first truth table, row by row, in the tree walker,
+    /// the one-lane `check` and one 64-lane `check_batch`. Lane `l` binds
+    /// `i = l`, and `k = l` only for `l < 32`, so both hypothesis flavours
+    /// hold on lanes 0..32 and fail on lanes 32..64: `i < 32` is false
+    /// there, and the stride fact over `k` errs (unbound).
+    #[test]
+    fn implication_truth_table_in_every_engine() {
+        use stng_ir::ir::{CmpOp, IrExpr, IrStmt};
+        let (kernel, base) = example();
+        let map = Arc::new(stng_ir::slots::SlotMap::for_kernel(&kernel));
+        let lanes: Vec<State<f64>> = (0..SLOT_BATCH_MAX_LANES as i64)
+            .map(|l| {
+                let mut s = base.clone();
+                s.set_int("i", l);
+                if l < 32 {
+                    s.set_int("k", l);
+                }
+                s
+            })
+            .collect();
+        let slot_lanes: Vec<SlotState<f64>> = lanes
+            .iter()
+            .map(|s| SlotState::from_state(s, &map))
+            .collect();
+        let cmp = |op, a: IrExpr, b: IrExpr| Pred::Bool(IrExpr::cmp(op, a, b));
+        let holds = cmp(CmpOp::Eq, IrExpr::Int(0), IrExpr::Int(0));
+        let fails = cmp(CmpOp::Eq, IrExpr::Int(0), IrExpr::Int(1));
+        let errs = cmp(CmpOp::Eq, IrExpr::var("never_bound"), IrExpr::Int(0));
+        let oob_store = IrStmt::Store {
+            array: "a".into(),
+            indices: vec![IrExpr::Int(900), IrExpr::Int(0)],
+            value: IrExpr::Real(0.0),
+        };
+        let i_nonneg = cmp(CmpOp::Ge, IrExpr::var("i"), IrExpr::Int(0));
+        let hyp_false = cmp(CmpOp::Lt, IrExpr::var("i"), IrExpr::Int(32));
+        let hyp_errs = Pred::Stride {
+            var: "k".into(),
+            lo: IrExpr::Int(0),
+            step: 1,
+        };
+        // (name, body, conclusion, outcome where the hypotheses hold).
+        // Where they fail, a holding conclusion still `Holds` and every
+        // other row is `Vacuous`.
+        #[derive(Debug, PartialEq)]
+        enum Want {
+            Holds,
+            Violated,
+            BodyErr,
+            ConclErr,
+        }
+        let rows = [
+            ("holds", vec![], holds, Want::Holds),
+            ("violated", vec![], fails, Want::Violated),
+            ("conclusion-error", vec![], errs.clone(), Want::ConclErr),
+            ("body-error-first", vec![oob_store], errs, Want::BodyErr),
+        ];
+        let mut vcs = Vec::new();
+        for (name, body, conclusion, _) in &rows {
+            for (flavour, hyp) in [("false", &hyp_false), ("errs", &hyp_errs)] {
+                vcs.push(Vc {
+                    name: format!("{name}/hyp-{flavour}"),
+                    hypotheses: vec![i_nonneg.clone(), hyp.clone()],
+                    body: body.clone(),
+                    conclusion: conclusion.clone(),
+                    int_scalars: vec![],
+                    scope: crate::vcgen::VcScope::Any,
+                });
+            }
+        }
+        let compiled = CompiledVcSet::compile(&vcs, &map).unwrap();
+        let mut sc = compiled.scratch::<f64>();
+        let mut bsc = compiled.batch_scratch::<f64>();
+        let refs: Vec<&SlotState<f64>> = slot_lanes.iter().collect();
+        let a = map.array("a");
+        let never_bound = map.scalar("never_bound");
+        for (k, vc) in vcs.iter().enumerate() {
+            let want = &rows[k / 2].3;
+            let mut batch = Vec::new();
+            compiled.check_batch(
+                k,
+                &refs,
+                &mut sc,
+                &mut bsc,
+                &Budget::unlimited(),
+                &mut batch,
+            );
+            assert_eq!(batch.len(), SLOT_BATCH_MAX_LANES);
+            for (lane, state) in lanes.iter().enumerate() {
+                let hyps_hold = lane < 32;
+                let expect: Result<VcOutcome, EvalErr> = match want {
+                    Want::Holds => Ok(VcOutcome::Holds),
+                    _ if !hyps_hold => Ok(VcOutcome::Vacuous),
+                    Want::Violated => Ok(VcOutcome::Violated),
+                    Want::BodyErr => Err(EvalErr::OobStore(a)),
+                    Want::ConclErr => Err(EvalErr::UnboundInt(never_bound)),
+                };
+                let at = format!("{} lane {lane}", vc.name);
+                assert_eq!(batch[lane], expect, "64-lane batch, {at}");
+                assert_eq!(
+                    compiled.check(k, refs[lane], &mut sc),
+                    expect,
+                    "one lane, {at}"
+                );
+                match (check_vc_on_state(vc, state), expect) {
+                    (Ok(got), Ok(expect)) => assert_eq!(got, expect, "tree walker, {at}"),
+                    (Err(e), Err(EvalErr::OobStore(_))) => {
+                        assert!(e.to_string().contains("store index"), "{at}: {e}")
+                    }
+                    (Err(e), Err(_)) => assert!(e.to_string().contains("never_bound"), "{at}: {e}"),
+                    (got, expect) => panic!("tree walker, {at}: {got:?} vs {expect:?}"),
+                }
+            }
         }
     }
 

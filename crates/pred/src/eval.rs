@@ -4,6 +4,12 @@
 //! (§3.1): predicates are evaluated against small concrete states, with
 //! universal quantifiers expanded by enumeration. The sound half lives in
 //! `stng-solve`.
+//!
+//! A verification condition `H ⇒ C` is checked as the implication it is:
+//! the body runs and the conclusion `C` is evaluated first, and the
+//! hypotheses `H` only where `C` fails. On a correct candidate every
+//! captured state is reachable, every hypothesis holds there, and no
+//! hypothesis evaluation could ever refute it, so the screen skips them.
 
 use crate::lang::{Pred, QuantClause};
 use crate::vcgen::Vc;
@@ -34,11 +40,17 @@ impl ValueEq for ModInt {
 }
 
 /// Outcome of checking one verification condition on one concrete state.
+///
+/// A VC `H ⇒ C` holds wherever `C` holds, so the conclusion is checked
+/// first and the hypotheses only where it fails (see
+/// [`check_vc_on_state`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VcOutcome {
-    /// Some hypothesis was false: the state says nothing about validity.
+    /// The conclusion failed (or erred) and some hypothesis was false (or
+    /// erred): the state says nothing about validity.
     Vacuous,
-    /// All hypotheses held and the conclusion held after the body.
+    /// The conclusion held after the body; the hypotheses were not
+    /// evaluated.
     Holds,
     /// All hypotheses held but the conclusion failed: a counterexample.
     Violated,
@@ -159,34 +171,45 @@ pub fn eval_quant_clause<V: ValueEq>(clause: &QuantClause, state: &mut State<V>)
     Ok(ok)
 }
 
-/// Checks one verification condition against one concrete pre-state.
+/// Checks one verification condition against one concrete pre-state, as
+/// the implication it is: the body runs and the conclusion is evaluated
+/// first, and the hypotheses are evaluated (on the pre-state) only when the
+/// conclusion did not hold.
+///
+/// | body, then conclusion | hypotheses | outcome |
+/// | --- | --- | --- |
+/// | conclusion holds | not evaluated | `Holds` |
+/// | conclusion false, or body/conclusion error | one is false or errs | `Vacuous` |
+/// | conclusion false | all hold | `Violated` |
+/// | body or conclusion error | all hold | the error (body error first) |
 ///
 /// # Errors
 ///
-/// Propagates interpreter errors encountered while evaluating hypotheses,
-/// executing the body, or evaluating the conclusion.
+/// Propagates interpreter errors encountered while executing the body or
+/// evaluating the conclusion on a state where every hypothesis holds.
 pub fn check_vc_on_state<V: ValueEq>(vc: &Vc, pre_state: &State<V>) -> Result<VcOutcome> {
-    let mut state = pre_state.clone();
-    for hyp in &vc.hypotheses {
-        // A hypothesis that cannot even be evaluated (it mentions variables
-        // the state does not bind) says nothing about this state.
-        match eval_pred(hyp, &mut state) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return Ok(VcOutcome::Vacuous),
-        }
-    }
+    let mut post = pre_state.clone();
     // Loop counters the body assigns must live in the integer part of the
     // state even when the pre-state does not bind them yet (e.g. the
     // initiation condition checked on the initial state).
     for name in &vc.int_scalars {
-        state.ints.entry(name.clone()).or_insert(0);
+        post.ints.entry(name.clone()).or_insert(0);
     }
-    run_stmts(&vc.body, &mut state, 1_000_000)?;
-    if eval_pred(&vc.conclusion, &mut state)? {
-        Ok(VcOutcome::Holds)
-    } else {
-        Ok(VcOutcome::Violated)
+    let concluded = run_stmts(&vc.body, &mut post, 1_000_000)
+        .and_then(|_| eval_pred(&vc.conclusion, &mut post));
+    if let Ok(true) = concluded {
+        return Ok(VcOutcome::Holds);
     }
+    let mut pre = pre_state.clone();
+    for hyp in &vc.hypotheses {
+        // A hypothesis that cannot even be evaluated (it mentions variables
+        // the state does not bind) says nothing about this state.
+        match eval_pred(hyp, &mut pre) {
+            Ok(true) => {}
+            Ok(false) | Err(_) => return Ok(VcOutcome::Vacuous),
+        }
+    }
+    concluded.map(|_| VcOutcome::Violated)
 }
 
 #[cfg(test)]
@@ -263,12 +286,21 @@ mod tests {
         let vcs = generate_vcs(&nest, &kernel.assumptions, &invariants, &post);
         run_kernel(&kernel, &mut state).unwrap();
         // After the loop, j = jmax + 1 (Fortran semantics) and i = imax + 1,
-        // so the exit VC's hypotheses hold on the final state.
+        // so the exit VC's conclusion, the postcondition, holds on the final
+        // state.
         let exit = vcs.iter().find(|vc| vc.name == "exit").unwrap();
         assert_eq!(check_vc_on_state(exit, &state).unwrap(), VcOutcome::Holds);
-        // The preservation VC is vacuous on the final state (i > imax).
+        // The preservation VC is vacuous on the final state: its body runs
+        // one more outer iteration past imax, so its conclusion does not
+        // hold, and its loop-guard hypothesis i <= imax is false.
         let pres = vcs.iter().find(|vc| vc.name == "preservation(i)").unwrap();
         assert_eq!(check_vc_on_state(pres, &state).unwrap(), VcOutcome::Vacuous);
+        let mut unguarded = pres.clone();
+        unguarded.hypotheses.clear();
+        assert!(
+            !matches!(check_vc_on_state(&unguarded, &state), Ok(VcOutcome::Holds)),
+            "the conclusion must fail here, or the hypotheses would not be reached"
+        );
     }
 
     #[test]

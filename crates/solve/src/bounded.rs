@@ -34,6 +34,15 @@
 //!   running across all in-scope captured states in one op-major pass over
 //!   SoA-transposed state columns ([`stng_ir::slots::SlotBatch`]) instead
 //!   of re-entering an evaluator per state.
+//! * **Implication-first checking** — a VC `H ⇒ C` holds wherever `C`
+//!   holds, so each VC's body and conclusion run first and its hypotheses
+//!   are evaluated only on the states where the conclusion fails. Every
+//!   captured state is reachable, so on a correct candidate every
+//!   hypothesis holds and could never refute it: a surviving candidate's
+//!   screen evaluates no hypothesis at all. The order moves only the split
+//!   between `Holds` and `Vacuous`; `Violated` and evaluation errors, the
+//!   outcomes the scan acts on, come back exactly as under a
+//!   hypothesis-first order.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

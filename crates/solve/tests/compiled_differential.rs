@@ -13,8 +13,11 @@
 //!   non-empty domain;
 //! * an *erroring* postcondition (`out[v⃗] = out[v⃗ + 900]`) — evaluation
 //!   fails with an out-of-bounds read;
-//! * an *unbound-hypothesis* variant — a hypothesis mentioning a variable
-//!   no state binds, making every state vacuous.
+//! * an *unbound-hypothesis* variant of the wrong postcondition — a
+//!   hypothesis mentioning a variable no state binds. Conclusions are
+//!   checked first, so states whose conclusion holds stay `Holds`, and every
+//!   state whose conclusion fails reaches the erring hypothesis and is
+//!   vacuous: the family must show no violation and no error.
 //!
 //! The generated VC bodies are the kernels' own statements (via
 //! `generate_vcs`), so store/assignment compilation is exercised too; the
@@ -166,12 +169,15 @@ fn compiled_checking_agrees_with_interpreter_on_every_corpus_kernel() {
             }
         }
 
-        // Unbound-hypothesis family: every state is vacuous in both engines.
+        // Unbound-hypothesis family over the wrong postcondition: the
+        // conclusion is checked first, so a hypothesis is only reached where
+        // the conclusion fails, and there it errs and makes the state
+        // vacuous in both engines.
         let mut vcs = generate_vcs(
             &nest,
             &kernel.assumptions,
             &invariants,
-            &synthetic_post(&kernel, 0, false),
+            &synthetic_post(&kernel, 0, true),
         );
         for vc in &mut vcs {
             vc.hypotheses.push(stng_pred::Pred::Bool(IrExpr::cmp(
@@ -182,6 +188,11 @@ fn compiled_checking_agrees_with_interpreter_on_every_corpus_kernel() {
         }
         let label = format!("{}/unbound-hyp", corpus_kernel.name);
         let (checks, outcomes) = assert_agreement(&session, &vcs, &label);
+        let [vacuous, _, violated, errors] = outcomes;
+        assert!(
+            vacuous > 0 && violated == 0 && errors == 0,
+            "{label}: every failing conclusion must be vacuous, got {outcomes:?}"
+        );
         total_checks += checks;
         for (t, o) in totals.iter_mut().zip(outcomes) {
             *t += o;

@@ -149,3 +149,55 @@ fn disarmed_recorder_records_nothing() {
         .sum();
     assert_eq!(events, 0, "disarmed recorder must record no events");
 }
+
+/// Postcondition synthesis records its own span with one child per stage,
+/// all on the lifting thread inside `lift.kernel` (the running example has
+/// one output array, so nothing moves to a worker thread).
+#[test]
+fn postcondition_synthesis_spans_nest_under_lift_kernel() {
+    let _gate = GATE.lock().unwrap_or_else(|p| p.into_inner());
+    obs::recorder::reset();
+    obs::arm();
+    let report = Stng::new().lift_source(fixtures::RUNNING_EXAMPLE).unwrap();
+    obs::disarm();
+    assert_eq!(report.translated(), 1);
+
+    // Every opened span with the names of the spans enclosing it.
+    let mut opened: Vec<(&str, Vec<&str>)> = Vec::new();
+    for t in obs::recorder::snapshot() {
+        let mut stack: Vec<&str> = Vec::new();
+        for e in &t.events {
+            match e.kind {
+                obs::recorder::EventKind::Open => {
+                    opened.push((e.name.as_str(), stack.clone()));
+                    stack.push(e.name.as_str());
+                }
+                obs::recorder::EventKind::Close => {
+                    stack.pop();
+                }
+                obs::recorder::EventKind::Instant => {}
+            }
+        }
+    }
+    let within = |name: &str, parent: &str| {
+        let spans: Vec<_> = opened.iter().filter(|(n, _)| *n == name).collect();
+        assert!(!spans.is_empty(), "no {name} span recorded");
+        for (_, enclosing) in spans {
+            assert!(
+                enclosing.contains(&parent),
+                "{name} opened outside {parent}: {enclosing:?}"
+            );
+        }
+    };
+    within("synth.postcond", "lift.kernel");
+    for child in [
+        "sym.exec",
+        "synth.region_bound",
+        "synth.generalize",
+        "synth.solve_template",
+        "synth.check_run",
+    ] {
+        within(child, "synth.postcond");
+    }
+    obs::recorder::reset();
+}

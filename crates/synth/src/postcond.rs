@@ -12,6 +12,7 @@ use crate::control::{bits_for_choices, ControlBits};
 use std::collections::HashMap;
 use stng_ir::interp::{eval_data_expr, eval_int_expr, ArrayData, State};
 use stng_ir::ir::{IrExpr, Kernel, ParamKind};
+use stng_obs::names;
 use stng_pred::lang::{OutEq, Postcondition, QuantBound, QuantClause};
 use stng_sym::anti::{generalize, IndexTemplate, TemplateExpr};
 use stng_sym::{choose_small_bounds, symbolic_execute, SymExpr, SymbolicRun};
@@ -68,6 +69,7 @@ impl PostcondSynthesizer {
     /// Returns a human-readable reason when no postcondition in the grammar
     /// matches the observed behaviour.
     pub fn synthesize(&self, kernel: &Kernel) -> Result<PostcondCandidate, String> {
+        let _span = stng_obs::span(&names::SYNTH_POSTCOND);
         let run_a = symbolic_execute(kernel, &choose_small_bounds(kernel, self.sizes.0))
             .map_err(|e| format!("symbolic execution failed: {e}"))?;
         let run_b = symbolic_execute(kernel, &choose_small_bounds(kernel, self.sizes.1))
@@ -151,8 +153,10 @@ impl PostcondSynthesizer {
             .chain(writes_b.iter())
             .map(|(_, v)| *v)
             .collect();
-        let template =
-            generalize(&all_values).ok_or_else(|| format!("no observations for '{array}'"))?;
+        let template = {
+            let _span = stng_obs::span(&names::SYNTH_GENERALIZE);
+            generalize(&all_values).ok_or_else(|| format!("no observations for '{array}'"))?
+        };
 
         // 3. Solve the holes against the observations.
         let mut all_obs: Vec<(&[i64], &SymExpr)> = Vec::new();
@@ -198,6 +202,7 @@ impl PostcondSynthesizer {
         want_lo: bool,
         stride: i64,
     ) -> Result<(IrExpr, usize), String> {
+        let _span = stng_obs::span(&names::SYNTH_REGION_BOUND);
         let observed = |writes: &[(Vec<i64>, SymExpr)]| -> (i64, i64) {
             let mut min = i64::MAX;
             let mut max = i64::MIN;
@@ -276,6 +281,7 @@ impl PostcondSynthesizer {
         vars: &[String],
         bits: &mut ControlBits,
     ) -> Result<IrExpr, String> {
+        let _span = stng_obs::span(&names::SYNTH_SOLVE_TEMPLATE);
         // Per observation, extract the concrete value of every hole by
         // walking the template against the observation's own template form.
         let mut index_hole_values: HashMap<usize, Vec<(Vec<i64>, i64)>> = HashMap::new();
@@ -329,6 +335,7 @@ impl PostcondSynthesizer {
         vars: &[String],
         rhs: &IrExpr,
     ) -> Result<usize, String> {
+        let _span = stng_obs::span(&names::SYNTH_CHECK_RUN);
         // Build a state with pristine symbolic arrays (pre-state contents).
         let mut state: State<SymExpr> = State::new();
         for (name, value) in &run.bounds {

@@ -34,16 +34,21 @@ use stng_ir::ir::Affine;
 use stng_solve::lin::model;
 
 /// One exhaustively enumerated slice of the constraint-system domain.
-struct Stratum {
-    name: &'static str,
-    nvars: usize,
-    coeff_bound: i64,
-    const_bound: i64,
+pub struct Stratum {
+    /// Name used in the report's per-stratum counts.
+    pub name: &'static str,
+    /// Number of variables.
+    pub nvars: usize,
+    /// Coefficients range over `[-coeff_bound, coeff_bound]`.
+    pub coeff_bound: i64,
+    /// Constants range over `[-const_bound, const_bound]`.
+    pub const_bound: i64,
     /// System sizes (number of distinct rows) enumerated, inclusive.
-    min_rows: usize,
-    max_rows: usize,
+    pub min_rows: usize,
+    /// Largest system size enumerated.
+    pub max_rows: usize,
     /// Integer box half-width scanned by the brute-force oracle.
-    box_bound: i64,
+    pub box_bound: i64,
 }
 
 const QUICK_STRATA: &[Stratum] = &[
@@ -303,16 +308,28 @@ fn sweep_tightening(stratum: &Stratum, check: &mut CheckReport) -> u64 {
 
 /// Runs the FM model checker over the given tier's strata.
 pub fn run(deep: bool) -> Vec<CheckReport> {
-    let mut agreement = CheckReport::new("fm.exhaustive-strata");
-    let mut tightening = CheckReport::new("fm.gcd-tightening");
-    let mut cores = CheckReport::new("fm.learned-cores");
-
     let strata: Vec<&Stratum> = if deep {
         QUICK_STRATA.iter().chain(DEEP_STRATA).collect()
     } else {
         QUICK_STRATA.iter().collect()
     };
+    run_strata(&strata)
+}
 
+/// Runs the FM model checker over `strata`, in order. Sweeps the prover's
+/// tables first, so the first stratum's learned-core snapshot holds only
+/// the cores its own queries learned, not those of lifts that ran earlier
+/// in the process; the report is then the same in-process and standalone.
+///
+/// # Panics
+///
+/// Like every sweep, when called from a thread that holds a lift pin.
+pub fn run_strata(strata: &[&Stratum]) -> Vec<CheckReport> {
+    let mut agreement = CheckReport::new("fm.exhaustive-strata");
+    let mut tightening = CheckReport::new("fm.gcd-tightening");
+    let mut cores = CheckReport::new("fm.learned-cores");
+
+    stng_intern::sweep(stng_solve::clear);
     for stratum in strata {
         let _span = stng_obs::span(&stng_obs::names::VERIFY_CHECK);
         let (systems, infeasible, witnessed) = sweep_stratum(stratum, &mut agreement);

@@ -8,9 +8,11 @@
 //!
 //! * conclusions — every comparison `a ⋈ b` over a fixed atom set
 //!   (`i`, `n`, `0`, `1`, `i+1`, `n-1`) and every comparison operator;
-//! * hypotheses — none, or any single comparison from the same set
-//!   (hypotheses false on a state make the VC vacuous, so all three
-//!   outcomes occur);
+//! * hypotheses — none, or any single comparison from the same set. Both
+//!   engines check the conclusion first and reach the hypothesis only
+//!   where the conclusion fails, so a state is vacuous exactly when the
+//!   conclusion fails and the hypothesis is false there; false conclusions
+//!   are common in the grammar, so all three outcomes occur;
 //! * bodies — empty, or the kernel's own loop nest (exercising store and
 //!   loop compilation in the VC prelude);
 //! * a quantified family — `∀v ∈ [0,n]: a[v] = a[v+shift]` for shifts

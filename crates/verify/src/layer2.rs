@@ -162,11 +162,13 @@ fn vc_families(kernel: &Kernel, nest: &LoopNest) -> Vec<(&'static str, Vec<Vc>)>
             ),
         ),
     ];
+    // The unbound hypothesis is reached only where the conclusion fails, so
+    // it rides on the wrong postcondition to make those states vacuous.
     let mut unbound = generate_vcs(
         nest,
         &kernel.assumptions,
         &invariants,
-        &synthetic_post(kernel, 0, false),
+        &synthetic_post(kernel, 0, true),
     );
     for vc in &mut unbound {
         vc.hypotheses.push(stng_pred::Pred::Bool(IrExpr::cmp(
